@@ -7,6 +7,7 @@ extraction residue has a non-zero mean after quantization, and centering
 keeps wrong-key scores concentrated near zero.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -14,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter
-from .matrix import as_matrix
-from .semiblind import embed, extract
+from .matrix import as_matrix, reconstruct, svd
+from .semiblind import _conforming_pair, _mark, _unmark, split_watermark
 
 PEAK = 255.0
 
@@ -189,23 +190,28 @@ def robustness_sweep(cover, watermark, alphas, attacks):
 
     Deterministic given the attack seeds; the marked-image PSNR is
     measured before the attack, the correlation after extraction from
-    the attacked image.
+    the attacked image.  The cover and watermark SVDs and the rebuilt
+    cover are computed once and shared by every alpha, so a sweep costs
+    two SVDs whatever its length; each row equals what ``embed`` and
+    ``extract`` give for its alpha, to the bit.
     """
-    cover = as_matrix(cover, "cover")
-    watermark = as_matrix(watermark, "watermark")
+    cover, watermark = _conforming_pair(cover, watermark)
     alphas = [float(x) for x in alphas]
     attacks = list(attacks)
     if not alphas or not attacks:
         raise InvalidParameter("alphas and attacks must be non-empty")
-    if any(x <= 0 for x in alphas):
-        raise InvalidParameter("sweep alphas must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in alphas):
+        raise InvalidParameter("sweep alphas must be finite and positive")
+    f = svd(cover)
+    a_wa, v_w = split_watermark(watermark)
+    rebuilt = reconstruct(f)
     rows = []
     for alpha in alphas:
-        marked, info = embed(cover, watermark, alpha)
+        marked = _mark(f.u, f.s, f.v, a_wa, alpha)
         fidelity = psnr(cover, marked)
         for spec in attacks:
             attacked = apply_attack(marked, spec)
-            w_star = extract(attacked, info)
+            w_star = _unmark(f.u, f.v, attacked, rebuilt, alpha) @ v_w.T
             rows.append(
                 SweepRow(
                     alpha=float(alpha),

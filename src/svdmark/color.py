@@ -99,23 +99,25 @@ def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
     """Embed a mono-channel watermark into a color image.
 
     Returns ``(marked_image, bundle)``.  ``identity`` is required for the
-    hash-code scheme and must be omitted for semi-blind.
+    hash-code scheme and must be omitted for semi-blind.  The watermark is
+    split once and shared by every marked plane.
     """
     strategy = ChannelStrategy(strategy)
     scheme = SchemeTag(scheme)
     w = as_matrix(w, "w")
     if w.shape != img.r.shape:
         raise DimensionError(f"watermark {w.shape} does not match image planes")
+    split = semiblind.split_watermark(w)
     if strategy is ChannelStrategy.LUMINANCE:
-        marked_plane, info = _embed_plane(luminance_split(img), w, scheme, alpha, identity)
+        marked_plane, info = _embed_plane(luminance_split(img), split, scheme, alpha, identity)
         return luminance_merge(img, marked_plane), SideInfoBundle(strategy, (info,))
     if strategy is ChannelStrategy.BLUE_CHANNEL:
-        marked_plane, info = _embed_plane(img.b, w, scheme, alpha, identity)
+        marked_plane, info = _embed_plane(img.b, split, scheme, alpha, identity)
         return RgbImage(r=img.r, g=img.g, b=marked_plane), SideInfoBundle(strategy, (info,))
     marked_planes = []
     infos = []
     for plane in img.channels():
-        marked_plane, info = _embed_plane(plane, w, scheme, alpha, identity)
+        marked_plane, info = _embed_plane(plane, split, scheme, alpha, identity)
         marked_planes.append(marked_plane)
         infos.append(info)
     return RgbImage(*marked_planes), SideInfoBundle(strategy, tuple(infos))
@@ -143,14 +145,14 @@ def extract_color(img, bundle, strategy, identity=None):
     return sum(estimates) / 3.0
 
 
-def _embed_plane(plane, w, scheme, alpha, identity):
+def _embed_plane(plane, split, scheme, alpha, identity):
     if scheme is SchemeTag.HASH_CODE:
         if identity is None:
             raise InvalidKey("hash-code embedding requires an identity")
-        return invisible.embed_invisible(plane, w, identity, alpha)
+        return invisible._embed_split(plane, split, identity, alpha)
     if identity is not None:
         raise InvalidKey("semi-blind embedding takes no identity")
-    return semiblind.embed(plane, w, alpha)
+    return semiblind._embed_split(plane, split, alpha)
 
 
 def _extract_plane(plane, info, identity):

@@ -15,13 +15,15 @@ from enum import Enum
 import numpy as np
 
 from .analysis import normalized_correlation
-from .errors import DimensionError, InvalidParameter, MalformedSideInfo
+from .errors import InvalidParameter, MalformedSideInfo
 from .hashstream import dequantize, derive_mask, quantize, xor_mask
 from .matrix import as_matrix, svd
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
     SideInfo,
+    _conforming_pair,
+    _mark,
     recover_principal_components,
     split_watermark,
 )
@@ -48,22 +50,20 @@ def embed_invisible(cover, watermark, identity, alpha=DEFAULT_ALPHA):
     factors and quantization range but never the identity or the mask;
     the identity is the secret key.
     """
-    cover = as_matrix(cover, "cover")
-    watermark = as_matrix(watermark, "watermark")
-    if cover.shape != watermark.shape:
-        raise DimensionError(
-            f"cover {cover.shape} and watermark {watermark.shape} must have equal shape"
-        )
+    cover, watermark = _conforming_pair(cover, watermark)
+    return _embed_split(cover, split_watermark(watermark), identity, alpha)
+
+
+def _embed_split(cover, split, identity, alpha):
+    """``embed_invisible`` for a conforming cover and a ``split_watermark`` result."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
     rows, cols = cover.shape
     f = svd(cover)
-    a_wa, v_w = split_watermark(watermark)
+    a_wa, v_w = split
     payload, quant = quantize(a_wa)
     masked = xor_mask(payload, derive_mask(identity, rows, cols))
-    s1 = f.s + alpha * masked.astype(np.float64)
-    marked = f.u @ s1 @ f.v.T
     info = SideInfo(
         u=f.u,
         s=f.s,
@@ -75,7 +75,7 @@ def embed_invisible(cover, watermark, identity, alpha=DEFAULT_ALPHA):
         scheme=SchemeTag.HASH_CODE,
         quant=quant,
     )
-    return marked, info
+    return _mark(f.u, f.s, f.v, masked.astype(np.float64), alpha), info
 
 
 def recover_masked_bytes(marked, info):

@@ -22,7 +22,7 @@ from .errors import (
     MalformedSideInfo,
 )
 from .hashstream import QuantParams
-from .matrix import ORTHOGONALITY_TOL, as_matrix, orthogonality_residual, svd
+from .matrix import ORTHOGONALITY_TOL, as_matrix, orthogonality_residual, reconstruct, svd
 
 # Default embedding strength; strong enough to survive mild distortion
 # while keeping the marked image visually close to the cover.
@@ -92,6 +92,27 @@ def split_watermark(w):
     return f.u @ f.s, f.v
 
 
+def _conforming_pair(cover, watermark):
+    """Coerce ``cover`` and ``watermark`` to matrices of one shape."""
+    cover = as_matrix(cover, "cover")
+    watermark = as_matrix(watermark, "watermark")
+    if cover.shape != watermark.shape:
+        raise DimensionError(
+            f"cover {cover.shape} and watermark {watermark.shape} must have equal shape"
+        )
+    return cover, watermark
+
+
+def _mark(u, s, v, payload, alpha):
+    """The scheme's forward algebra on precomputed cover factors."""
+    return u @ (s + alpha * payload) @ v.T
+
+
+def _unmark(u, v, marked, rebuilt, alpha):
+    """Inverse of ``_mark`` given the rebuilt cover ``u @ s @ v.T``."""
+    return (u.T @ (marked - rebuilt) @ v) / alpha
+
+
 def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     """Embed ``watermark`` into ``cover`` with strength ``alpha``.
 
@@ -100,19 +121,17 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     scheme.  ``alpha = 0`` produces the cover unchanged and yields side
     info that extraction refuses (useful only in tests).
     """
-    cover = as_matrix(cover, "cover")
-    watermark = as_matrix(watermark, "watermark")
-    if cover.shape != watermark.shape:
-        raise DimensionError(
-            f"cover {cover.shape} and watermark {watermark.shape} must have equal shape"
-        )
+    cover, watermark = _conforming_pair(cover, watermark)
+    return _embed_split(cover, split_watermark(watermark), alpha)
+
+
+def _embed_split(cover, split, alpha):
+    """``embed`` for a conforming cover and a ``split_watermark`` result."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0:
-        raise InvalidParameter(f"alpha must be non-negative, got {alpha}")
+        raise InvalidParameter(f"alpha must be finite and non-negative, got {alpha}")
     f = svd(cover)
-    a_wa, v_w = split_watermark(watermark)
-    s1 = f.s + alpha * a_wa
-    marked = f.u @ s1 @ f.v.T
+    a_wa, v_w = split
     info = SideInfo(
         u=f.u,
         s=f.s,
@@ -123,7 +142,7 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
         cols=cover.shape[1],
         scheme=SchemeTag.SEMI_BLIND,
     )
-    return marked, info
+    return _mark(f.u, f.s, f.v, a_wa, alpha), info
 
 
 def recover_principal_components(marked, info):
@@ -141,8 +160,7 @@ def recover_principal_components(marked, info):
         )
     if info.alpha == 0:
         raise DegenerateKey("side info has alpha = 0; embedding is not invertible")
-    a1 = marked - info.u @ info.s @ info.v.T
-    return (info.u.T @ a1 @ info.v) / info.alpha
+    return _unmark(info.u, info.v, marked, reconstruct(info), info.alpha)
 
 
 def extract(marked, info):

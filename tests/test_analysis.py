@@ -214,3 +214,54 @@ class TestSweep:
         with pytest.raises(InvalidParameter):
             sm.robustness_sweep(cover, wm, [0.0],
                                 [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_rejected(self, small_scene, bad):
+        cover, wm = small_scene
+        with pytest.raises(InvalidParameter, match="finite and positive"):
+            sm.robustness_sweep(cover, wm, [0.1, bad],
+                                [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])
+
+    def test_shape_mismatch_rejected(self, small_scene):
+        cover, wm = small_scene
+        with pytest.raises(DimensionError):
+            sm.robustness_sweep(cover, wm[:, :32], [0.1],
+                                [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])
+
+
+def reference_rows(cover, wm, alphas, attacks):
+    """The sweep's rows computed through the public per-alpha route."""
+    rows = []
+    for alpha in alphas:
+        marked, info = sm.embed(cover, wm, alpha)
+        fidelity = sm.psnr(cover, marked)
+        for spec in attacks:
+            w_star = sm.extract(sm.apply_attack(marked, spec), info)
+            rows.append((alpha, spec, fidelity, sm.normalized_correlation(w_star, wm)))
+    return rows
+
+
+class TestSweepEquivalence:
+    ALPHAS = [0.02, 0.05, 0.1, 0.2, 0.5]
+    ATTACKS = [
+        sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=2.0, seed=7),
+        sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT),
+        sm.AttackSpec(kind=sm.AttackKind.CROP, rect=(4, 4, 8, 8)),
+        sm.AttackSpec(kind=sm.AttackKind.RESCALE, scale=0.5),
+    ]
+
+    def assert_rows_equal(self, cover, wm):
+        report = sm.robustness_sweep(cover, wm, self.ALPHAS, self.ATTACKS)
+        expected = reference_rows(cover, wm, self.ALPHAS, self.ATTACKS)
+        assert len(report.rows) == len(expected)
+        for row, (alpha, spec, fidelity, nc) in zip(report.rows, expected):
+            assert row.alpha == alpha and row.attack == spec
+            assert row.psnr_db == fidelity
+            assert row.nc == nc
+
+    def test_canonical_scene_bit_identical(self, cover256, watermark256):
+        self.assert_rows_equal(cover256, watermark256)
+
+    @pytest.mark.parametrize("shape", [(48, 64), (64, 48)])
+    def test_rectangular_bit_identical(self, shape):
+        self.assert_rows_equal(seeded_matrix(11, *shape), seeded_matrix(12, *shape))

@@ -195,6 +195,25 @@ class TestMetricsAttackSweep:
                     "--out", str(tmp_path / "r.csv")]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas", ["nan", "0.1,inf"])
+    def test_sweep_non_finite_alpha(self, scene, tmp_path, capsys, alphas):
+        _, _, p = scene
+        out = tmp_path / "r.csv"
+        assert run(["sweep", "--cover", p["cover"], "--watermark", p["wm"],
+                    "--alphas", alphas, "--attacks", "quantize-8bit",
+                    "--out", str(out)]) == 1
+        assert "error: InvalidParameter" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_shape_mismatch(self, scene, tmp_path, capsys):
+        _, _, p = scene
+        small = str(tmp_path / "small.pgm")
+        sm.write_pgm(make_watermark(32), small)
+        assert run(["sweep", "--cover", p["cover"], "--watermark", small,
+                    "--alphas", "0.1", "--attacks", "quantize-8bit",
+                    "--out", str(tmp_path / "r.csv")]) == 1
+        assert "error: DimensionError" in capsys.readouterr().err
+
 
 class TestColorCli:
     def test_ppm_blue_pipeline(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import svdmark as sm
-from svdmark.errors import DimensionError, InvalidKey, MalformedSideInfo
+from svdmark.errors import DimensionError, InvalidKey, InvalidParameter, MalformedSideInfo
 
 import thresholds as th
 
@@ -124,6 +124,30 @@ class TestEmbedColor:
         with pytest.raises(DimensionError):
             sm.embed_color(rgb128, np.zeros((4, 4)), sm.ChannelStrategy.BLUE_CHANNEL,
                            sm.SchemeTag.SEMI_BLIND)
+
+
+    @pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+    def test_per_channel_matches_per_plane_embed(self, rgb128, wm128, identity, scheme):
+        ident = identity if scheme is sm.SchemeTag.HASH_CODE else None
+        marked, bundle = sm.embed_color(rgb128, wm128, sm.ChannelStrategy.PER_CHANNEL,
+                                        scheme, alpha=0.1, identity=ident)
+        for plane, got_plane, got in zip(rgb128.channels(), marked.channels(), bundle.infos):
+            if ident is None:
+                want_plane, want = sm.embed(plane, wm128, 0.1)
+            else:
+                want_plane, want = sm.embed_invisible(plane, wm128, ident, 0.1)
+            assert np.array_equal(got_plane, want_plane)
+            for name in ("u", "s", "v", "v_w"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert (got.alpha, got.rows, got.cols, got.scheme, got.quant) == \
+                (want.alpha, want.rows, want.cols, want.scheme, want.quant)
+
+    @pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+    def test_non_finite_alpha_rejected(self, rgb128, wm128, identity, scheme):
+        ident = identity if scheme is sm.SchemeTag.HASH_CODE else None
+        with pytest.raises(InvalidParameter):
+            sm.embed_color(rgb128, wm128, sm.ChannelStrategy.PER_CHANNEL, scheme,
+                           alpha=float("nan"), identity=ident)
 
 
 class TestExtractColor:

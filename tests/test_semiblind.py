@@ -73,6 +73,11 @@ class TestEmbed:
         with pytest.raises(InvalidParameter):
             sm.embed(cover64, watermark64, -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_alpha(self, cover64, watermark64, bad):
+        with pytest.raises(InvalidParameter, match="finite and non-negative"):
+            sm.embed(cover64, watermark64, bad)
+
 
 class TestExtract:
     def test_exact_inverse(self, cover64, watermark64):
