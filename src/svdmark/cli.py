@@ -188,7 +188,7 @@ def _cmd_embed(args, scheme):
 
 def _cmd_extract(args, scheme):
     identity = Identity.from_string(args.identity) if scheme is SchemeTag.HASH_CODE else None
-    if formats.is_bundle_file(args.key):
+    if _is_color(args.marked):
         bundle = formats.load_bundle(args.key)
         img = formats.read_ppm(args.marked)
         w_star = color.extract_color(img, bundle, bundle.strategy, identity=identity)

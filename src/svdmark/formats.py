@@ -198,21 +198,15 @@ def _decode_array(text, count, what):
 
 
 def _sideinfo_doc(info):
-    if info.scheme is SchemeTag.SEMI_BLIND:
-        s_layout = "diag"
-        s_data = np.diagonal(info.s)
-    else:
-        s_layout = "full"
-        s_data = info.s
     doc = {
         "version": SIDEINFO_VERSION,
         "scheme_tag": info.scheme.value,
         "alpha": info.alpha,
         "rows": info.rows,
         "cols": info.cols,
-        "s_layout": s_layout,
+        "s_layout": "diag",
         "u": _encode_array(info.u),
-        "s_diag_or_full": _encode_array(s_data),
+        "s_diag_or_full": _encode_array(np.diagonal(info.s)),
         "v": _encode_array(info.v),
         "v_w": _encode_array(info.v_w),
     }
@@ -255,6 +249,8 @@ def _sideinfo_from_doc(doc):
         s = np.zeros((rows, cols))
         np.fill_diagonal(s, diag)
     elif s_layout == "full":
+        # Written by earlier releases for hash-code keys; SideInfo still
+        # rejects any non-zero off-diagonal entry.
         s = _decode_array(s_text, rows * cols, "s_diag_or_full").reshape(rows, cols)
     else:
         raise MalformedSideInfo(f"unknown s_layout {s_layout!r}")
@@ -307,7 +303,7 @@ def load_bundle(path):
     doc = _load_json(path)
     if doc.get("version") != SIDEINFO_VERSION:
         raise UnsupportedVersion(f"bundle version {doc.get('version')} is not supported")
-    if "infos" not in doc:
+    if not isinstance(doc.get("infos"), list):
         raise MalformedSideInfo("not a color key bundle (no infos list)")
     try:
         strategy = ChannelStrategy(doc["strategy"])
@@ -327,11 +323,6 @@ def _load_json(path):
     if not isinstance(doc, dict):
         raise MalformedSideInfo("key file root must be a JSON object")
     return doc
-
-
-def is_bundle_file(path):
-    """Cheap peek used by the CLI to route key files."""
-    return "infos" in _load_json(path)
 
 
 def load_matrix(path):

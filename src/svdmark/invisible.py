@@ -17,13 +17,12 @@ import numpy as np
 from .analysis import normalized_correlation
 from .errors import InvalidParameter, MalformedSideInfo
 from .hashstream import dequantize, derive_mask, quantize, xor_mask
-from .matrix import as_matrix, svd
+from .matrix import as_matrix
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
-    SideInfo,
     _conforming_pair,
-    _mark,
+    _embed_payload,
     recover_principal_components,
     split_watermark,
 )
@@ -59,23 +58,12 @@ def _embed_split(cover, split, identity, alpha):
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    rows, cols = cover.shape
-    f = svd(cover)
     a_wa, v_w = split
     payload, quant = quantize(a_wa)
-    masked = xor_mask(payload, derive_mask(identity, rows, cols))
-    info = SideInfo(
-        u=f.u,
-        s=f.s,
-        v=f.v,
-        v_w=v_w,
-        alpha=alpha,
-        rows=rows,
-        cols=cols,
-        scheme=SchemeTag.HASH_CODE,
-        quant=quant,
+    masked = xor_mask(payload, derive_mask(identity, *cover.shape))
+    return _embed_payload(
+        cover, masked.astype(np.float64), v_w, alpha, SchemeTag.HASH_CODE, quant
     )
-    return _mark(f.u, f.s, f.v, masked.astype(np.float64), alpha), info
 
 
 def recover_masked_bytes(marked, info):

@@ -43,30 +43,36 @@ class SvdFactors:
     v: np.ndarray
 
     def __post_init__(self):
-        self.u = as_matrix(self.u, "u")
-        self.s = as_matrix(self.s, "s")
-        self.v = as_matrix(self.v, "v")
-        m, n = self.s.shape
-        if self.u.shape != (m, m) or self.v.shape != (n, n):
-            raise DimensionError(
-                f"factor shapes {self.u.shape}, {self.s.shape}, {self.v.shape} "
-                "do not form a full SVD"
-            )
-        if orthogonality_residual(self.u) > ORTHOGONALITY_TOL:
-            raise InvalidInput("u is not orthogonal")
-        if orthogonality_residual(self.v) > ORTHOGONALITY_TOL:
-            raise InvalidInput("v is not orthogonal")
-        diag = np.diagonal(self.s)
-        if np.any(diag < 0) or np.any(np.diff(diag) > 0):
-            raise InvalidInput("singular values must be non-negative and non-increasing")
-        off = self.s.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off != 0.0):
-            raise InvalidInput("s must be diagonal (off-diagonal entries exactly zero)")
+        self.u, self.s, self.v = _check_svd_triple(self.u, self.s, self.v)
 
     @property
     def singular_values(self):
         return np.diagonal(self.s).copy()
+
+
+def _check_svd_triple(u, s, v):
+    """Coerce ``(u, s, v)`` to matrices that hold the ``SvdFactors``
+    invariants, or raise; the one check for factors from any source."""
+    u = as_matrix(u, "u")
+    s = as_matrix(s, "s")
+    v = as_matrix(v, "v")
+    m, n = s.shape
+    if u.shape != (m, m) or v.shape != (n, n):
+        raise DimensionError(
+            f"factor shapes {u.shape}, {s.shape}, {v.shape} do not form a full SVD"
+        )
+    if orthogonality_residual(u) > ORTHOGONALITY_TOL:
+        raise InvalidInput("u is not orthogonal")
+    if orthogonality_residual(v) > ORTHOGONALITY_TOL:
+        raise InvalidInput("v is not orthogonal")
+    diag = np.diagonal(s)
+    if np.any(diag < 0) or np.any(np.diff(diag) > 0):
+        raise InvalidInput("singular values must be non-negative and non-increasing")
+    off = s.copy()
+    np.fill_diagonal(off, 0.0)
+    if np.any(off != 0.0):
+        raise InvalidInput("s must be diagonal (off-diagonal entries exactly zero)")
+    return u, s, v
 
 
 def svd(a):

@@ -22,7 +22,14 @@ from .errors import (
     MalformedSideInfo,
 )
 from .hashstream import QuantParams
-from .matrix import ORTHOGONALITY_TOL, as_matrix, orthogonality_residual, reconstruct, svd
+from .matrix import (
+    ORTHOGONALITY_TOL,
+    _check_svd_triple,
+    as_matrix,
+    orthogonality_residual,
+    reconstruct,
+    svd,
+)
 
 # Default embedding strength; strong enough to survive mild distortion
 # while keeping the marked image visually close to the cover.
@@ -59,20 +66,13 @@ class SideInfo:
     quant: QuantParams | None = None
 
     def __post_init__(self):
-        self.u = as_matrix(self.u, "u")
-        self.s = as_matrix(self.s, "s")
-        self.v = as_matrix(self.v, "v")
+        self.u, self.s, self.v = _check_svd_triple(self.u, self.s, self.v)
         self.v_w = as_matrix(self.v_w, "v_w")
         self.scheme = SchemeTag(self.scheme)
-        m, n = self.rows, self.cols
-        if self.s.shape != (m, n):
-            raise DimensionError(f"s shape {self.s.shape} does not match {m}x{n}")
-        if self.u.shape != (m, m) or self.v.shape != (n, n) or self.v_w.shape != (n, n):
-            raise DimensionError("factor shapes do not conform to rows/cols")
-        if orthogonality_residual(self.u) > ORTHOGONALITY_TOL:
-            raise InvalidInput("stored u is not orthogonal")
-        if orthogonality_residual(self.v) > ORTHOGONALITY_TOL:
-            raise InvalidInput("stored v is not orthogonal")
+        if self.s.shape != (self.rows, self.cols) or self.v_w.shape != self.v.shape:
+            raise DimensionError(f"factor shapes do not conform to {self.rows}x{self.cols}")
+        if orthogonality_residual(self.v_w) > ORTHOGONALITY_TOL:
+            raise InvalidInput("v_w is not orthogonal")
         self.alpha = float(self.alpha)
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise InvalidParameter(f"alpha must be a non-negative real, got {self.alpha}")
@@ -130,8 +130,13 @@ def _embed_split(cover, split, alpha):
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0:
         raise InvalidParameter(f"alpha must be finite and non-negative, got {alpha}")
-    f = svd(cover)
     a_wa, v_w = split
+    return _embed_payload(cover, a_wa, v_w, alpha, SchemeTag.SEMI_BLIND)
+
+
+def _embed_payload(cover, payload, v_w, alpha, scheme, quant=None):
+    """Both schemes' embed core: mark ``cover`` with a prepared payload."""
+    f = svd(cover)
     info = SideInfo(
         u=f.u,
         s=f.s,
@@ -140,9 +145,10 @@ def _embed_split(cover, split, alpha):
         alpha=alpha,
         rows=cover.shape[0],
         cols=cover.shape[1],
-        scheme=SchemeTag.SEMI_BLIND,
+        scheme=scheme,
+        quant=quant,
     )
-    return _mark(f.u, f.s, f.v, a_wa, alpha), info
+    return _mark(f.u, f.s, f.v, payload, alpha), info
 
 
 def recover_principal_components(marked, info):

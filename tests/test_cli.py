@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,39 @@ class TestColorCli:
         assert run(["extract-hash", "--marked", marked, "--key", key,
                     "--id", th.EMBED_ID, "--out", out]) == 0
         assert sm.read_float_image(out).shape == (48, 48)
+
+
+class TestKeyRouting:
+    @pytest.fixture()
+    def keys(self, scene, tmp_path):
+        _, _, p = scene
+        assert run(["embed", "--cover", p["cover"], "--watermark", p["wm"],
+                    "--out", p["marked"], "--key", p["key"]]) == 0
+        cover = str(tmp_path / "cover.ppm")
+        sm.write_ppm(sm.synthetic_rgb(64, 64, seed=21), cover)
+        paths = dict(p, ppm=str(tmp_path / "marked.ppm"), pgm=str(tmp_path / "marked.pgm"),
+                     bundle=str(tmp_path / "bundle.json"))
+        assert run(["embed", "--cover", cover, "--watermark", p["wm"],
+                    "--out", paths["ppm"], "--key", paths["bundle"]]) == 0
+        sm.write_pgm(sm.read_float_image(p["marked"]), paths["pgm"])
+        return paths
+
+    @pytest.mark.parametrize("marked, key", [
+        ("pgm", "bundle"), ("marked", "bundle"), ("ppm", "key"),
+    ])
+    def test_key_and_image_kind_mismatch(self, keys, capsys, marked, key):
+        assert run(["extract", "--marked", keys[marked], "--key", keys[key],
+                    "--out", keys["out"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedSideInfo") and "Traceback" not in err
+
+    @pytest.mark.parametrize("infos", [5, None])
+    def test_bundle_infos_not_a_list(self, keys, capsys, infos):
+        with open(keys["bundle"]) as f:
+            doc = json.load(f)
+        doc["infos"] = infos
+        with open(keys["bundle"], "w") as f:
+            json.dump(doc, f)
+        assert run(["extract", "--marked", keys["ppm"], "--key", keys["bundle"],
+                    "--out", keys["out"]]) == 1
+        assert capsys.readouterr().err.startswith("error: MalformedSideInfo")

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 import svdmark as sm
 from svdmark.errors import (
     CodecError,
+    InvalidInput,
     InvalidParameter,
     MalformedSideInfo,
     UnsupportedFormat,
@@ -214,6 +216,44 @@ class TestSideInfoFile:
         self._rewrite(path, lambda d: d.__setitem__("version", 99))
         with pytest.raises(UnsupportedVersion):
             sm.load_sideinfo(str(path))
+
+    def _save_full_layout(self, info, path, s):
+        # The layout earlier releases wrote for hash-code keys: the dense
+        # M x N S, otherwise the same document and formatting.
+        sm.save_sideinfo(info, str(path))
+        doc = json.loads(path.read_text())
+        doc["s_layout"] = "full"
+        doc["s_diag_or_full"] = base64.b64encode(s.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    def test_full_layout_hash_key_still_loads(self, tmp_path, hash_info, identity):
+        marked, info = hash_info
+        path = tmp_path / "key.json"
+        self._save_full_layout(info, path, info.s)
+        back = sm.load_sideinfo(str(path))
+        for name in ("u", "s", "v", "v_w"):
+            assert getattr(back, name).tobytes() == getattr(info, name).tobytes()
+        assert (sm.recover_masked_bytes(marked, back).tobytes()
+                == sm.recover_masked_bytes(marked, info).tobytes())
+        assert (sm.extract_invisible(marked, back, identity).tobytes()
+                == sm.extract_invisible(marked, info, identity).tobytes())
+
+    def test_full_layout_off_diagonal_rejected(self, tmp_path, hash_info):
+        _, info = hash_info
+        s = info.s.copy()
+        s[0, 1] = 3.0
+        path = tmp_path / "key.json"
+        self._save_full_layout(info, path, s)
+        with pytest.raises(InvalidInput):
+            sm.load_sideinfo(str(path))
+
+    def test_hash_key_stores_diagonal(self, tmp_path, hash_info):
+        _, info = hash_info
+        diag, full = tmp_path / "diag.json", tmp_path / "full.json"
+        sm.save_sideinfo(info, str(diag))
+        self._save_full_layout(info, full, info.s)
+        assert json.loads(diag.read_text())["s_layout"] == "diag"
+        assert diag.stat().st_size <= 0.76 * full.stat().st_size
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "key.json"

@@ -1,8 +1,12 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import svdmark as sm
+from svdmark.cli import cli_main
 from svdmark.errors import (
     DegenerateKey,
     DimensionError,
@@ -183,3 +187,40 @@ class TestSideInfoValidation:
         with pytest.raises(InvalidParameter):
             sm.SideInfo(u=info.u, s=info.s, v=info.v, v_w=info.v_w, alpha=-1.0,
                         rows=64, cols=64)
+
+    @pytest.mark.parametrize("corruption", [
+        "v_w-entry", "non-diagonal-s", "unsorted-s", "negative-s",
+    ])
+    def test_rejects_corrupt_factors(self, cover64, watermark64, corruption):
+        _, info = sm.embed(cover64, watermark64, 0.1)
+        s, v_w = _corrupt(info, corruption)
+        with pytest.raises(InvalidInput):
+            sm.SideInfo(u=info.u, s=s, v=info.v, v_w=v_w, alpha=0.1, rows=64, cols=64)
+
+    def test_cli_rejects_key_file_with_corrupt_v_w(self, cover64, watermark64,
+                                                   tmp_path, capsys):
+        marked, info = sm.embed(cover64, watermark64, 0.1)
+        marked_path, key_path = str(tmp_path / "m.svdf"), tmp_path / "key.json"
+        sm.write_float_image(marked, marked_path)
+        sm.save_sideinfo(info, str(key_path))
+        doc = json.loads(key_path.read_text())
+        doc["v_w"] = base64.b64encode(_corrupt(info, "v_w-entry")[1].tobytes()).decode()
+        key_path.write_text(json.dumps(doc))
+        assert cli_main(["extract", "--marked", marked_path, "--key", str(key_path),
+                         "--out", str(tmp_path / "w.svdf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInput") and "Traceback" not in err
+
+
+def _corrupt(info, corruption):
+    """Copies of ``info.s`` and ``info.v_w`` with one structural fault."""
+    s, v_w = info.s.copy(), info.v_w.copy()
+    if corruption == "v_w-entry":
+        v_w[0, 0] += 5.0
+    elif corruption == "non-diagonal-s":
+        s[0, 1] = 3.0
+    elif corruption == "unsorted-s":
+        s[0, 0], s[1, 1] = s[1, 1], s[0, 0]
+    elif corruption == "negative-s":
+        s[-1, -1] = -1.0
+    return s, v_w
