@@ -36,8 +36,8 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
     p = {name: str(out_dir / name) for name in (
         "cover.pgm", "watermark.pgm", "reference.pgm",
-        "marked.svdf", "marked.pgm", "key.json", "extracted.pgm",
-        "marked_keyed.svdf", "key_keyed.json")}
+        "marked.svdf", "marked.pgm", "key.svdk", "extracted.pgm",
+        "marked_keyed.svdf", "key_keyed.svdk")}
 
     print(f"writing demo images to {out_dir}\n")
     sm.write_pgm(sm.synthetic_image(256, 256, 1001, roughness=2.0, contrast=52.0),
@@ -49,28 +49,28 @@ def main():
 
     print("-- semi-blind scheme --")
     cli("embed", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
-        "--alpha", "0.1", "--out", p["marked.svdf"], "--key", p["key.json"])
+        "--alpha", "0.1", "--out", p["marked.svdf"], "--key", p["key.svdk"])
     # also store an 8-bit rendition for viewing
     sm.write_pgm(sm.read_float_image(p["marked.svdf"]), p["marked.pgm"])
     cli("metrics", "--a", p["cover.pgm"], "--b", p["marked.svdf"])
-    cli("extract", "--marked", p["marked.svdf"], "--key", p["key.json"],
+    cli("extract", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--out", p["extracted.pgm"])
     cli("metrics", "--a", p["watermark.pgm"], "--b", p["extracted.pgm"])
     print("reference detection with the true watermark basis vs an unrelated image:")
-    cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.json"],
+    cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--reference", p["watermark.pgm"])
-    cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.json"],
+    cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--reference", p["reference.pgm"])
 
     print("\n-- keyed invisible scheme --")
     cli("embed-hash", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
         "--id", "alice|8f3a9c", "--alpha", "0.05",
-        "--out", p["marked_keyed.svdf"], "--key", p["key_keyed.json"])
+        "--out", p["marked_keyed.svdf"], "--key", p["key_keyed.svdk"])
     right = cli("verify-hash", "--marked", p["marked_keyed.svdf"],
-                "--key", p["key_keyed.json"], "--id", "alice|8f3a9c",
+                "--key", p["key_keyed.svdk"], "--id", "alice|8f3a9c",
                 "--claimed", p["watermark.pgm"])
     wrong = cli("verify-hash", "--marked", p["marked_keyed.svdf"],
-                "--key", p["key_keyed.json"], "--id", "mallory|0000",
+                "--key", p["key_keyed.svdk"], "--id", "mallory|0000",
                 "--claimed", p["watermark.pgm"])
     print(f"\nright id exit code: {right.returncode} (0 = verified)")
     print(f"wrong id exit code: {wrong.returncode} (2 = rejected)")

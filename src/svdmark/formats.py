@@ -1,11 +1,11 @@
 """File codecs: binary PGM/PPM, the lossless SVDF float container, and
-JSON key files for side info.
+SVDK key files for side info (JSON keys of earlier releases still load).
 
 PGM/PPM are the interoperable 8-bit carriers; writing them rounds and
-clips, which counts as distortion for the extraction algebra.  SVDF
-stores raw float64 payloads so file round-trips are bit-exact.  Writers
-never leave partial files behind: output goes to a temp file in the
-target directory and is moved into place at the end.
+clips, which counts as distortion for the extraction algebra.  SVDF and
+SVDK store raw float64 payloads so file round-trips are bit-exact.
+Writers never leave partial files behind: output goes to a temp file in
+the target directory and is moved into place at the end.
 """
 
 import base64
@@ -34,18 +34,21 @@ SVDF_MAGIC = b"SVDF"
 SVDF_VERSION = 1
 SVDF_HEADER = struct.Struct("<4sHII")
 
-SIDEINFO_VERSION = 1
+KEY_MAGIC = b"SVDK"
+KEY_VERSION = 2
+KEY_HEADER = struct.Struct("<4sHI")
+JSON_KEY_VERSION = 1  # base64 arrays in JSON, written by earlier releases
 
 _PNM_MAGICS = {b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"}
 
 
-def _atomic_write(path, data):
+def _atomic_write(path, *chunks):
     # Complete file or no file; never a truncated one.
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".svdmark-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -183,46 +186,59 @@ def write_float_image(m, path):
     _atomic_write(path, header + np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 
-def _encode_array(arr):
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+class _KeyArrays:
+    """A key's arrays, taken record by record in file order: views of an
+    SVDK key's raw little-endian float64 payload from ``offset`` on, or
+    (``data`` None) the base64 fields of a JSON key."""
+
+    def __init__(self, version, data=None, offset=0):
+        self.version, self.data, self.offset = version, data, offset
+
+    def take(self, doc, field, count):
+        if self.data is None:
+            if field not in doc:
+                raise MalformedSideInfo(f"missing field {field!r}")
+            try:
+                raw = base64.b64decode(doc[field].encode("ascii"), validate=True)
+            except (binascii.Error, UnicodeEncodeError, AttributeError) as exc:
+                raise CodecError(f"corrupt base64 in {field}") from exc
+            if len(raw) != count * 8:
+                raise CodecError(f"{field} holds {len(raw)} bytes, expected {count * 8}")
+            return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        end = self.offset + 8 * count
+        if end > len(self.data):
+            raise CodecError(f"key file ends inside {field}")
+        # An aligned offset into a bytes object gives aligned views, so
+        # numpy hands matmuls on them to BLAS as on the arrays saved.
+        arr = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.offset)
+        self.offset = end
+        return arr
+
+    def finish(self):
+        if self.data is not None and self.offset != len(self.data):
+            raise CodecError(f"key file is {len(self.data)} bytes, not {self.offset}")
 
 
-def _decode_array(text, count, what):
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError, AttributeError) as exc:
-        raise CodecError(f"corrupt base64 in {what}") from exc
-    if len(raw) != count * 8:
-        raise CodecError(f"{what} holds {len(raw)} bytes, expected {count * 8}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def _sideinfo_doc(info):
-    doc = {
-        "version": SIDEINFO_VERSION,
+def _sideinfo_meta(info):
+    meta = {
+        "version": KEY_VERSION,
         "scheme_tag": info.scheme.value,
         "alpha": info.alpha,
         "rows": info.rows,
         "cols": info.cols,
         "s_layout": "diag",
-        "u": _encode_array(info.u),
-        "s_diag_or_full": _encode_array(np.diagonal(info.s)),
-        "v": _encode_array(info.v),
-        "v_w": _encode_array(info.v_w),
     }
     if info.quant is not None:
-        doc["quant"] = {
-            "lo": info.quant.lo,
-            "hi": info.quant.hi,
-            "degenerate": info.quant.degenerate,
-        }
-    return doc
+        meta["quant"] = vars(info.quant)
+    return meta
 
 
-def _sideinfo_from_doc(doc):
+def _sideinfo_from_doc(doc, arrays):
+    """Check one key record and take its arrays: the ``SideInfo``
+    arguments, for keys of either version."""
     if not isinstance(doc, dict):
-        raise MalformedSideInfo("key file root must be a JSON object")
-    if doc.get("version") != SIDEINFO_VERSION:
+        raise MalformedSideInfo("key record must be a JSON object")
+    if doc.get("version") != arrays.version:
         raise UnsupportedVersion(f"side info version {doc.get('version')} is not supported")
     try:
         scheme = SchemeTag(doc["scheme_tag"])
@@ -233,26 +249,13 @@ def _sideinfo_from_doc(doc):
         rows = int(doc["rows"])
         cols = int(doc["cols"])
         s_layout = doc["s_layout"]
-        u_text, s_text = doc["u"], doc["s_diag_or_full"]
-        v_text, v_w_text = doc["v"], doc["v_w"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
     if not math.isfinite(alpha) or alpha <= 0:
         raise InvalidParameter(f"stored alpha must be positive, got {alpha}")
     if rows < 1 or cols < 1:
         raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
-    u = _decode_array(u_text, rows * rows, "u").reshape(rows, rows)
-    v = _decode_array(v_text, cols * cols, "v").reshape(cols, cols)
-    v_w = _decode_array(v_w_text, cols * cols, "v_w").reshape(cols, cols)
-    if s_layout == "diag":
-        diag = _decode_array(s_text, min(rows, cols), "s_diag_or_full")
-        s = np.zeros((rows, cols))
-        np.fill_diagonal(s, diag)
-    elif s_layout == "full":
-        # Written by earlier releases for hash-code keys; SideInfo still
-        # rejects any non-zero off-diagonal entry.
-        s = _decode_array(s_text, rows * cols, "s_diag_or_full").reshape(rows, cols)
-    else:
+    if s_layout not in ("diag", "full"):
         raise MalformedSideInfo(f"unknown s_layout {s_layout!r}")
     quant = None
     if scheme is SchemeTag.HASH_CODE:
@@ -267,41 +270,85 @@ def _sideinfo_from_doc(doc):
             raise MalformedSideInfo(f"malformed quant block: {exc}") from exc
     elif "quant" in doc:
         raise MalformedSideInfo("semi-blind side info must not carry a quant block")
-    return SideInfo(
-        u=u, s=s, v=v, v_w=v_w, alpha=alpha, rows=rows, cols=cols,
-        scheme=scheme, quant=quant,
-    )
+    u = arrays.take(doc, "u", rows * rows).reshape(rows, rows)
+    if s_layout == "diag":
+        s = np.zeros((rows, cols))
+        np.fill_diagonal(s, arrays.take(doc, "s_diag_or_full", min(rows, cols)))
+    else:
+        # Written by earlier releases for hash-code keys; SideInfo still
+        # rejects any non-zero off-diagonal entry.
+        s = arrays.take(doc, "s_diag_or_full", rows * cols).reshape(rows, cols)
+    v = arrays.take(doc, "v", cols * cols).reshape(cols, cols)
+    v_w = arrays.take(doc, "v_w", cols * cols).reshape(cols, cols)
+    return dict(u=u, s=s, v=v, v_w=v_w, alpha=alpha, rows=rows, cols=cols,
+                scheme=scheme, quant=quant)
+
+
+def _write_key(path, meta, infos):
+    text = json.dumps(meta, sort_keys=True).encode("ascii")
+    text += b" " * (-(KEY_HEADER.size + len(text)) % 8)  # align the payload
+    arrays = [np.ascontiguousarray(a, dtype="<f8")
+              for i in infos for a in (i.u, np.diagonal(i.s), i.v, i.v_w)]
+    _atomic_write(path, KEY_HEADER.pack(KEY_MAGIC, KEY_VERSION, len(text)), text, *arrays)
+
+
+def _read_key(path):
+    """Read a key file once: its metadata and the source of its arrays."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != KEY_MAGIC:
+        return _parse_json(data, "key file"), _KeyArrays(JSON_KEY_VERSION)
+    if len(data) < KEY_HEADER.size:
+        raise CodecError("file too short for a key header")
+    _, version, meta_len = KEY_HEADER.unpack_from(data)
+    if version != KEY_VERSION:
+        raise UnsupportedVersion(f"key container version {version} is not supported")
+    start = KEY_HEADER.size + meta_len
+    if start > len(data) or start % 8:
+        raise CodecError(f"key payload offset {start} is unaligned or past the end")
+    meta = _parse_json(data[KEY_HEADER.size : start], "key metadata")
+    return meta, _KeyArrays(KEY_VERSION, data, start)
+
+
+def _parse_json(raw, what):
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise CodecError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedSideInfo(f"{what} root must be a JSON object")
+    return doc
 
 
 def save_sideinfo(info, path):
-    """Serialize side info to a JSON key file (arrays bit-exact via base64)."""
-    text = json.dumps(_sideinfo_doc(info), indent=2, sort_keys=True)
-    _atomic_write(path, text.encode("ascii") + b"\n")
+    """Write side info to an SVDK key file (arrays bit-exact)."""
+    _write_key(path, _sideinfo_meta(info), [info])
 
 
 def load_sideinfo(path):
-    """Load and validate a JSON key file written by :func:`save_sideinfo`."""
-    doc = _load_json(path)
+    """Load and validate a key file written by :func:`save_sideinfo`."""
+    doc, arrays = _read_key(path)
     if "infos" in doc:
         raise MalformedSideInfo("this is a color key bundle; load it as a bundle")
-    return _sideinfo_from_doc(doc)
+    fields = _sideinfo_from_doc(doc, arrays)
+    arrays.finish()
+    return SideInfo(**fields)
 
 
 def save_bundle(bundle, path):
-    """Serialize a color key bundle (strategy plus per-plane side info)."""
-    doc = {
-        "version": SIDEINFO_VERSION,
+    """Write a color key bundle (strategy plus per-plane side info)."""
+    meta = {
+        "version": KEY_VERSION,
         "strategy": bundle.strategy.value,
-        "infos": [_sideinfo_doc(info) for info in bundle.infos],
+        "infos": [_sideinfo_meta(info) for info in bundle.infos],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    _atomic_write(path, text.encode("ascii") + b"\n")
+    _write_key(path, meta, bundle.infos)
 
 
 def load_bundle(path):
     """Load a color key bundle written by :func:`save_bundle`."""
-    doc = _load_json(path)
-    if doc.get("version") != SIDEINFO_VERSION:
+    doc, arrays = _read_key(path)
+    if doc.get("version") != arrays.version:
         raise UnsupportedVersion(f"bundle version {doc.get('version')} is not supported")
     if not isinstance(doc.get("infos"), list):
         raise MalformedSideInfo("not a color key bundle (no infos list)")
@@ -309,20 +356,9 @@ def load_bundle(path):
         strategy = ChannelStrategy(doc["strategy"])
     except (KeyError, ValueError) as exc:
         raise MalformedSideInfo(f"unknown strategy {doc.get('strategy')!r}") from exc
-    infos = tuple(_sideinfo_from_doc(d) for d in doc["infos"])
-    return SideInfoBundle(strategy=strategy, infos=infos)
-
-
-def _load_json(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"key file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedSideInfo("key file root must be a JSON object")
-    return doc
+    fields = [_sideinfo_from_doc(d, arrays) for d in doc["infos"]]
+    arrays.finish()
+    return SideInfoBundle(strategy=strategy, infos=tuple(SideInfo(**f) for f in fields))
 
 
 def load_matrix(path):

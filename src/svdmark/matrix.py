@@ -101,7 +101,11 @@ def svd(a):
     _canonical_signs(u, v)
     s = np.zeros(a.shape)
     np.fill_diagonal(s, sv)
-    return SvdFactors(u=u, s=s, v=v)
+    # LAPACK output holds the SvdFactors invariants by construction, so it
+    # skips __post_init__; factors from anywhere else go through the checks.
+    f = object.__new__(SvdFactors)
+    f.u, f.s, f.v = u, s, v
+    return f
 
 
 def _canonical_signs(u, v):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from svdmark.cli import cli_main
 
 import thresholds as th
 from conftest import make_cover, make_reference, make_watermark
+from keyfiles import rewrite_key_metadata
 
 
 @pytest.fixture()
@@ -287,11 +286,7 @@ class TestKeyRouting:
 
     @pytest.mark.parametrize("infos", [5, None])
     def test_bundle_infos_not_a_list(self, keys, capsys, infos):
-        with open(keys["bundle"]) as f:
-            doc = json.load(f)
-        doc["infos"] = infos
-        with open(keys["bundle"], "w") as f:
-            json.dump(doc, f)
+        rewrite_key_metadata(keys["bundle"], lambda d: d.__setitem__("infos", infos))
         assert run(["extract", "--marked", keys["ppm"], "--key", keys["bundle"],
                     "--out", keys["out"]]) == 1
         assert capsys.readouterr().err.startswith("error: MalformedSideInfo")

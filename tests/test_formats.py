@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 
@@ -16,6 +15,7 @@ from svdmark.errors import (
 )
 
 from conftest import seeded_matrix
+from keyfiles import HEADER, key_parts, rewrite_key_metadata, write_key_parts, write_v1_key
 
 
 class TestPgm:
@@ -172,16 +172,11 @@ class TestSideInfoFile:
             sm.extract_invisible(marked, info, identity),
         )
 
-    def _rewrite(self, path, mutate):
-        doc = json.loads(path.read_text())
-        mutate(doc)
-        path.write_text(json.dumps(doc))
-
     def test_missing_quant_rejected(self, tmp_path, hash_info):
         _, info = hash_info
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
-        self._rewrite(path, lambda d: d.pop("quant"))
+        rewrite_key_metadata(path, lambda d: d.pop("quant"))
         with pytest.raises(MalformedSideInfo):
             sm.load_sideinfo(str(path))
 
@@ -189,7 +184,7 @@ class TestSideInfoFile:
         _, info = semiblind_info
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
-        self._rewrite(path, lambda d: d.__setitem__("alpha", -d["alpha"]))
+        rewrite_key_metadata(path, lambda d: d.__setitem__("alpha", -d["alpha"]))
         with pytest.raises(InvalidParameter):
             sm.load_sideinfo(str(path))
 
@@ -197,15 +192,28 @@ class TestSideInfoFile:
         _, info = semiblind_info
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
-        self._rewrite(path, lambda d: d.__setitem__("scheme_tag", "mystery"))
+        rewrite_key_metadata(path, lambda d: d.__setitem__("scheme_tag", "mystery"))
         with pytest.raises(MalformedSideInfo):
             sm.load_sideinfo(str(path))
 
     def test_corrupt_base64(self, tmp_path, semiblind_info):
+        # Only version-1 JSON keys hold base64; their reader is still used.
+        _, info = semiblind_info
+        path = tmp_path / "key.json"
+        write_v1_key(info, path)
+        doc = json.loads(path.read_text())
+        doc["u"] = "!!!not-base64!!!"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodecError):
+            sm.load_sideinfo(str(path))
+
+    @pytest.mark.parametrize("cut", [-3, -8, 8])
+    def test_payload_length_mismatch(self, tmp_path, semiblind_info, cut):
         _, info = semiblind_info
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
-        self._rewrite(path, lambda d: d.__setitem__("u", "!!!not-base64!!!"))
+        meta, payload = key_parts(path)
+        write_key_parts(path, meta, payload[:cut] if cut < 0 else payload + bytes(cut))
         with pytest.raises(CodecError):
             sm.load_sideinfo(str(path))
 
@@ -213,23 +221,60 @@ class TestSideInfoFile:
         _, info = semiblind_info
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
-        self._rewrite(path, lambda d: d.__setitem__("version", 99))
+        rewrite_key_metadata(path, lambda d: d.__setitem__("version", 99))
         with pytest.raises(UnsupportedVersion):
             sm.load_sideinfo(str(path))
 
-    def _save_full_layout(self, info, path, s):
-        # The layout earlier releases wrote for hash-code keys: the dense
-        # M x N S, otherwise the same document and formatting.
+    def test_container_version_mismatch(self, tmp_path, semiblind_info):
+        _, info = semiblind_info
+        path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
-        doc = json.loads(path.read_text())
-        doc["s_layout"] = "full"
-        doc["s_diag_or_full"] = base64.b64encode(s.astype("<f8").tobytes()).decode("ascii")
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        meta, payload = key_parts(path)
+        write_key_parts(path, meta, payload, version=3)
+        with pytest.raises(UnsupportedVersion):
+            sm.load_sideinfo(str(path))
+
+    def test_unaligned_payload_rejected(self, tmp_path, semiblind_info):
+        _, info = semiblind_info
+        path = tmp_path / "key.json"
+        sm.save_sideinfo(info, str(path))
+        meta, payload = key_parts(path)
+        text = json.dumps(meta).encode("ascii")
+        text += b" " * (-(HEADER.size + len(text)) % 8 + 1)
+        path.write_bytes(HEADER.pack(b"SVDK", 2, len(text)) + text + payload)
+        with pytest.raises(CodecError):
+            sm.load_sideinfo(str(path))
+
+    def test_container_layout(self, tmp_path, hash_info):
+        _, info = hash_info
+        path = tmp_path / "key.json"
+        sm.save_sideinfo(info, str(path))
+        data = path.read_bytes()
+        magic, version, meta_len = HEADER.unpack_from(data)
+        assert (magic, version) == (b"SVDK", 2)
+        assert (HEADER.size + meta_len) % 8 == 0
+        meta, payload = key_parts(path)
+        assert meta == {"version": 2, "scheme_tag": "hash-code", "alpha": info.alpha,
+                        "rows": 64, "cols": 64, "s_layout": "diag",
+                        "quant": {"lo": info.quant.lo, "hi": info.quant.hi,
+                                  "degenerate": info.quant.degenerate}}
+        arrays = (info.u, np.diagonal(info.s), info.v, info.v_w)
+        assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+    def test_loaded_arrays_are_aligned_views(self, tmp_path, semiblind_info):
+        _, info = semiblind_info
+        path = tmp_path / "key.json"
+        sm.save_sideinfo(info, str(path))
+        back = sm.load_sideinfo(str(path))
+        for name in ("u", "s", "v", "v_w"):
+            assert getattr(back, name).flags.aligned
+        for name in ("u", "v", "v_w"):
+            assert not getattr(back, name).flags.owndata
 
     def test_full_layout_hash_key_still_loads(self, tmp_path, hash_info, identity):
         marked, info = hash_info
         path = tmp_path / "key.json"
-        self._save_full_layout(info, path, info.s)
+        write_v1_key(info, path, s_layout="full")
         back = sm.load_sideinfo(str(path))
         for name in ("u", "s", "v", "v_w"):
             assert getattr(back, name).tobytes() == getattr(info, name).tobytes()
@@ -243,17 +288,35 @@ class TestSideInfoFile:
         s = info.s.copy()
         s[0, 1] = 3.0
         path = tmp_path / "key.json"
-        self._save_full_layout(info, path, s)
+        write_v1_key(info, path, s_layout="full", s=s)
         with pytest.raises(InvalidInput):
             sm.load_sideinfo(str(path))
 
+    @pytest.mark.parametrize("scheme", ["semi-blind", "hash-code"])
+    def test_v1_diag_key_still_loads(self, tmp_path, semiblind_info, hash_info,
+                                     identity, scheme):
+        marked, info = semiblind_info if scheme == "semi-blind" else hash_info
+        path = tmp_path / "key.json"
+        write_v1_key(info, path)
+        back = sm.load_sideinfo(str(path))
+        for name in ("u", "s", "v", "v_w"):
+            assert getattr(back, name).tobytes() == getattr(info, name).tobytes()
+        if scheme == "semi-blind":
+            assert sm.extract(marked, back).tobytes() == sm.extract(marked, info).tobytes()
+        else:
+            assert (sm.extract_invisible(marked, back, identity).tobytes()
+                    == sm.extract_invisible(marked, info, identity).tobytes())
+
     def test_hash_key_stores_diagonal(self, tmp_path, hash_info):
         _, info = hash_info
-        diag, full = tmp_path / "diag.json", tmp_path / "full.json"
-        sm.save_sideinfo(info, str(diag))
-        self._save_full_layout(info, full, info.s)
-        assert json.loads(diag.read_text())["s_layout"] == "diag"
-        assert diag.stat().st_size <= 0.76 * full.stat().st_size
+        v2, v1 = tmp_path / "key.json", tmp_path / "v1.json"
+        sm.save_sideinfo(info, str(v2))
+        write_v1_key(info, v1)
+        meta_len = HEADER.unpack_from(v2.read_bytes())[2]
+        m, n = info.rows, info.cols
+        assert key_parts(v2)[0]["s_layout"] == "diag"
+        assert v2.stat().st_size == HEADER.size + meta_len + 8 * (m * m + min(m, n) + 2 * n * n)
+        assert v2.stat().st_size <= 0.76 * v1.stat().st_size
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "key.json"
@@ -284,6 +347,32 @@ class TestBundleFile:
         sm.save_sideinfo(info, str(path))
         with pytest.raises(MalformedSideInfo):
             sm.load_bundle(str(path))
+
+    @pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+    def test_v1_bundle_still_loads(self, tmp_path, identity, scheme):
+        img = sm.synthetic_rgb(32, 32, seed=9)
+        wm = sm.synthetic_image(32, 32, 10, roughness=1.2, contrast=70.0)
+        ident = identity if scheme is sm.SchemeTag.HASH_CODE else None
+        marked, bundle = sm.embed_color(img, wm, sm.ChannelStrategy.PER_CHANNEL,
+                                        scheme, alpha=0.1, identity=ident)
+        path = tmp_path / "bundle.json"
+        write_v1_key(bundle, path)
+        back = sm.load_bundle(str(path))
+        assert back.strategy is bundle.strategy
+        for a, b in zip(back.infos, bundle.infos):
+            for name in ("u", "s", "v", "v_w"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (sm.extract_color(marked, back, back.strategy, identity=ident).tobytes()
+                == sm.extract_color(marked, bundle, bundle.strategy, identity=ident).tobytes())
+
+    def test_bundle_arrays_are_aligned(self, tmp_path):
+        img = sm.synthetic_rgb(24, 20, seed=9)
+        _, bundle = sm.embed_color(img, seeded_matrix(1, 24, 20),
+                                   sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.SEMI_BLIND)
+        path = tmp_path / "bundle.json"
+        sm.save_bundle(bundle, str(path))
+        for info in sm.load_bundle(str(path)).infos:
+            assert all(getattr(info, n).flags.aligned for n in ("u", "s", "v", "v_w"))
 
     def test_bundle_rejected_as_single_key(self, tmp_path):
         img = sm.synthetic_rgb(16, 16, seed=11)

@@ -1,6 +1,3 @@
-import base64
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +15,7 @@ from svdmark.matrix import _canonical_signs
 
 import thresholds as th
 from conftest import make_reference, seeded_matrix
+from keyfiles import key_parts, write_key_parts
 
 
 class TestSplitWatermark:
@@ -203,9 +201,9 @@ class TestSideInfoValidation:
         marked_path, key_path = str(tmp_path / "m.svdf"), tmp_path / "key.json"
         sm.write_float_image(marked, marked_path)
         sm.save_sideinfo(info, str(key_path))
-        doc = json.loads(key_path.read_text())
-        doc["v_w"] = base64.b64encode(_corrupt(info, "v_w-entry")[1].tobytes()).decode()
-        key_path.write_text(json.dumps(doc))
+        meta, payload = key_parts(key_path)
+        v_w = _corrupt(info, "v_w-entry")[1].astype("<f8").tobytes()
+        write_key_parts(key_path, meta, payload[: -len(v_w)] + v_w)
         assert cli_main(["extract", "--marked", marked_path, "--key", str(key_path),
                          "--out", str(tmp_path / "w.svdf")]) == 1
         err = capsys.readouterr().err
