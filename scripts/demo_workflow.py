@@ -6,7 +6,8 @@ unrelated reference image, then runs the full workflow: embed the
 watermark, measure marked-image fidelity, extract the watermark back,
 and attempt reference detection with both the true watermark and the
 unrelated image.  Finishes with the keyed scheme: embed with an id,
-verify with the right and a wrong id.
+verify with the right and a wrong id, and a short robustness sweep.  Any
+command that fails, or succeeds but writes to stderr, stops the demo.
 
     python scripts/demo_workflow.py [output-dir]
 """
@@ -25,9 +26,10 @@ def cli(*argv):
     print(f"$ svdmark {' '.join(argv)}")
     if proc.stdout:
         print(proc.stdout, end="")
-    if proc.returncode not in (0, 2):
+    if proc.returncode not in (0, 2) or proc.stderr:
+        # Exit codes 0 and 2 (rejected) are results and leave stderr empty.
         print(proc.stderr, end="", file=sys.stderr)
-        raise SystemExit(f"command failed with exit code {proc.returncode}")
+        raise SystemExit(f"command exited with code {proc.returncode}")
     return proc
 
 
@@ -37,7 +39,7 @@ def main():
     p = {name: str(out_dir / name) for name in (
         "cover.pgm", "watermark.pgm", "reference.pgm",
         "marked.svdf", "marked.pgm", "key.svdk", "extracted.pgm",
-        "marked_keyed.svdf", "key_keyed.svdk")}
+        "marked_keyed.svdf", "key_keyed.svdk", "sweep.csv")}
 
     print(f"writing demo images to {out_dir}\n")
     sm.write_pgm(sm.synthetic_image(256, 256, 1001, roughness=2.0, contrast=52.0),
@@ -74,6 +76,13 @@ def main():
                 "--claimed", p["watermark.pgm"])
     print(f"\nright id exit code: {right.returncode} (0 = verified)")
     print(f"wrong id exit code: {wrong.returncode} (2 = rejected)")
+
+    print("\n-- robustness sweep --")
+    cli("sweep", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
+        "--alphas", "0.05,0.1,0.2",
+        "--attacks", "gaussian-noise:sigma=2:seed=7,quantize-8bit,crop:rect=32;32;64;64,"
+                     "rescale:scale=0.5",
+        "--out", p["sweep.csv"])
 
 
 if __name__ == "__main__":

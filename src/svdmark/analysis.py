@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter
-from .matrix import as_matrix, reconstruct, svd
+from .matrix import as_matrix, svd
 from .semiblind import _conforming_pair, _mark, _unmark, split_watermark
 
 PEAK = 255.0
@@ -27,6 +27,10 @@ def psnr(a, b):
     b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return _psnr(a, b)
+
+
+def _psnr(a, b):
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -43,13 +47,21 @@ def normalized_correlation(a, b):
     b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return _correlate(_centred(a), _centred(b), stacklevel=3)
+
+
+def _centred(a):
+    """The flattened, mean-centred matrix and its squared norm."""
     ac = (a - a.mean()).ravel()
-    bc = (b - b.mean()).ravel()
-    da = float(ac @ ac)
-    db = float(bc @ bc)
+    return ac, float(ac @ ac)
+
+
+def _correlate(a, b, stacklevel):
+    """``normalized_correlation`` of two ``_centred`` matrices."""
+    (ac, da), (bc, db) = a, b
     if da == 0.0 or db == 0.0:
         warnings.warn("normalized_correlation of a constant matrix is defined as 0",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=stacklevel)
         return 0.0
     # Exact fixed points; the general formula can miss them by one ulp.
     if np.array_equal(ac, bc):
@@ -110,23 +122,38 @@ class AttackSpec:
 def apply_attack(a, spec):
     """Apply one attack to an image matrix, returning a new matrix."""
     a = as_matrix(a, "a")
+    return _attack(spec, a.shape)(a)
+
+
+def _attack(spec, shape):
+    """Check ``spec`` against an image shape and return the attack as a
+    function of a valid matrix of that shape.
+
+    Everything that does not depend on the image, such as the seeded
+    noise, is computed here once, so a sweep can reuse it for every alpha.
+    """
     if spec.kind is AttackKind.GAUSSIAN_NOISE:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        return a + rng.normal(0.0, spec.sigma, a.shape)
+        noise = rng.normal(0.0, spec.sigma, shape)
+        return lambda a: a + noise
     if spec.kind is AttackKind.QUANTIZE_8BIT:
-        return np.clip(np.rint(a), 0.0, 255.0)
+        return lambda a: np.clip(np.rint(a), 0.0, 255.0)
     if spec.kind is AttackKind.CROP:
         r0, c0, h, w = spec.rect
-        if r0 + h > a.shape[0] or c0 + w > a.shape[1]:
-            raise InvalidParameter(f"crop rect {spec.rect} exceeds image {a.shape}")
-        out = a.copy()
-        out[r0 : r0 + h, c0 : c0 + w] = a.mean()
-        return out
+        if r0 + h > shape[0] or c0 + w > shape[1]:
+            raise InvalidParameter(f"crop rect {spec.rect} exceeds image {shape}")
+
+        def crop(a):
+            out = a.copy()
+            out[r0 : r0 + h, c0 : c0 + w] = a.mean()
+            return out
+
+        return crop
     if spec.kind is AttackKind.RESCALE:
-        rows, cols = a.shape
+        rows, cols = shape
         down_r = max(1, int(round(rows * spec.scale)))
         down_c = max(1, int(round(cols * spec.scale)))
-        return resize_bilinear(resize_bilinear(a, down_r, down_c), rows, cols)
+        return lambda a: resize_bilinear(resize_bilinear(a, down_r, down_c), rows, cols)
     raise InvalidParameter(f"unknown attack kind {spec.kind}")
 
 
@@ -135,17 +162,28 @@ def resize_bilinear(a, rows, cols):
     a = as_matrix(a, "a")
     if rows < 1 or cols < 1:
         raise InvalidParameter(f"target shape must be positive, got {rows}x{cols}")
-    r = np.linspace(0.0, a.shape[0] - 1.0, rows)
-    c = np.linspace(0.0, a.shape[1] - 1.0, cols)
-    r0 = np.floor(r).astype(int)
-    c0 = np.floor(c).astype(int)
-    r1 = np.minimum(r0 + 1, a.shape[0] - 1)
-    c1 = np.minimum(c0 + 1, a.shape[1] - 1)
-    fr = (r - r0)[:, None]
-    fc = (c - c0)[None, :]
-    top = a[np.ix_(r0, c0)] * (1.0 - fc) + a[np.ix_(r0, c1)] * fc
-    bottom = a[np.ix_(r1, c0)] * (1.0 - fc) + a[np.ix_(r1, c1)] * fc
-    return top * (1.0 - fr) + bottom * fr
+    # Columns first, then rows: row r of ``t`` is the column-interpolated
+    # source row r, so rows r0 and r1 of ``t`` are the four-corner
+    # formula's top and bottom terms, bit for bit, at half the gathers.
+    # The in-place updates round exactly like ``x * w0 + y * w1``.
+    r0, r1, fr = _bilinear_axis(a.shape[0], rows)
+    c0, c1, fc = _bilinear_axis(a.shape[1], cols)
+    t = np.take(a, c0, axis=1)
+    t *= 1.0 - fc
+    t += np.take(a, c1, axis=1) * fc
+    fr = fr[:, None]
+    out = np.take(t, r0, axis=0)
+    out *= 1.0 - fr
+    out += np.take(t, r1, axis=0) * fr
+    return out
+
+
+def _bilinear_axis(n, size):
+    """Source indices either side of ``size`` points spanning ``0..n-1``,
+    and the fractional weight of the upper one."""
+    x = np.linspace(0.0, n - 1.0, size)
+    i0 = np.floor(x).astype(int)
+    return i0, np.minimum(i0 + 1, n - 1), x - i0
 
 
 def resize_nearest(a, rows, cols):
@@ -190,10 +228,12 @@ def robustness_sweep(cover, watermark, alphas, attacks):
 
     Deterministic given the attack seeds; the marked-image PSNR is
     measured before the attack, the correlation after extraction from
-    the attacked image.  The cover and watermark SVDs and the rebuilt
-    cover are computed once and shared by every alpha, so a sweep costs
-    two SVDs whatever its length; each row equals what ``embed`` and
-    ``extract`` give for its alpha, to the bit.
+    the attacked image.  Everything that does not depend on alpha is
+    done once per sweep: the cover and watermark SVDs, each attack's
+    checks and seeded noise, and the centred watermark.  A sweep thus
+    costs two SVDs whatever its length, and each row equals what
+    ``embed``, ``apply_attack``, ``extract`` and ``normalized_correlation``
+    give for its alpha, to the bit.
     """
     cover, watermark = _conforming_pair(cover, watermark)
     alphas = [float(x) for x in alphas]
@@ -202,22 +242,29 @@ def robustness_sweep(cover, watermark, alphas, attacks):
         raise InvalidParameter("alphas and attacks must be non-empty")
     if not all(math.isfinite(x) and x > 0 for x in alphas):
         raise InvalidParameter("sweep alphas must be finite and positive")
+    attack_fns = [_attack(spec, cover.shape) for spec in attacks]
     f = svd(cover)
     a_wa, v_w = split_watermark(watermark)
-    rebuilt = reconstruct(f)
+    centred_wm = _centred(watermark)
     rows = []
     for alpha in alphas:
-        marked = _mark(f.u, f.s, f.v, a_wa, alpha)
-        fidelity = psnr(cover, marked)
-        for spec in attacks:
-            attacked = apply_attack(marked, spec)
-            w_star = _unmark(f.u, f.v, attacked, rebuilt, alpha) @ v_w.T
+        # The one array the sweep makes from a caller's number: an alpha
+        # large enough to overflow is rejected as ``psnr`` would.
+        marked = as_matrix(_mark(f.u, f.s, f.v, a_wa, alpha), "marked")
+        fidelity = _psnr(cover, marked)
+        for spec, attack in zip(attacks, attack_fns):
+            w_star = _unmark(f.u, f.s, f.v, attack(marked), alpha) @ v_w.T
+            centred = _centred(w_star)
+            if not math.isfinite(centred[1]):
+                # A NaN or Inf entry lands here (so does a norm that merely
+                # overflows); reject the former as normalized_correlation does.
+                as_matrix(w_star, "a")
             rows.append(
                 SweepRow(
-                    alpha=float(alpha),
+                    alpha=alpha,
                     attack=spec,
                     psnr_db=fidelity,
-                    nc=normalized_correlation(w_star, watermark),
+                    nc=_correlate(centred, centred_wm, stacklevel=2),
                 )
             )
     return RobustnessReport(rows=tuple(rows))

@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, color, formats, invisible, semiblind
 from .analysis import AttackKind, AttackSpec
 from .errors import WatermarkError
@@ -268,6 +270,14 @@ def _cmd_sweep(args):
 
 
 def cli_main(argv=None):
+    # Untrusted keys and images can overflow intermediate products.  A check
+    # downstream rejects the result with one error line, which numpy's
+    # RuntimeWarnings would otherwise precede on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run(argv)
+
+
+def _run(argv):
     parser = _build_parser()
     try:
         try:

@@ -3,9 +3,11 @@ added to the cover's singular values.
 
 Embedding computes ``marked = U (S + alpha * A_wa) V^T`` where ``U S V^T``
 is the cover's SVD and ``A_wa = U_w S_w`` collects the watermark's
-principal components.  The detector does not need the cover or watermark
-images, only the side info captured at embed time (the exact cover
-factors, the watermark's right singular vectors ``V_w``, and ``alpha``).
+principal components.  Recovery projects back onto the cover's bases,
+``A*_wa = (U^T marked V - S) / alpha``, and never rebuilds the cover.
+The detector does not need the cover or watermark images, only the side
+info captured at embed time (the exact cover factors, the watermark's
+right singular vectors ``V_w``, and ``alpha``).
 """
 
 import math
@@ -27,7 +29,6 @@ from .matrix import (
     _check_svd_triple,
     as_matrix,
     orthogonality_residual,
-    reconstruct,
     svd,
 )
 
@@ -108,9 +109,10 @@ def _mark(u, s, v, payload, alpha):
     return u @ (s + alpha * payload) @ v.T
 
 
-def _unmark(u, v, marked, rebuilt, alpha):
-    """Inverse of ``_mark`` given the rebuilt cover ``u @ s @ v.T``."""
-    return (u.T @ (marked - rebuilt) @ v) / alpha
+def _unmark(u, s, v, marked, alpha):
+    """Inverse of ``_mark``: ``U`` and ``V`` are orthogonal, so projecting
+    onto them leaves ``S + alpha * payload``."""
+    return (u.T @ marked @ v - s) / alpha
 
 
 def embed(cover, watermark, alpha=DEFAULT_ALPHA):
@@ -154,9 +156,9 @@ def _embed_payload(cover, payload, v_w, alpha, scheme, quant=None):
 def recover_principal_components(marked, info):
     """Undo the embedding algebra, returning the recovered ``A*_wa``.
 
-    Computes ``A_1 = marked - U S V^T`` and ``A*_wa = (U^T A_1 V) / alpha``.
-    U and V are orthogonal, so their inverses are the transposes.  Shared
-    by both schemes; callers enforce the scheme tag.
+    Computes ``A*_wa = (U^T marked V - S) / alpha``: U and V are
+    orthogonal, so their inverses are the transposes, and the cover is
+    never rebuilt.  Shared by both schemes; callers enforce the scheme tag.
     """
     marked = as_matrix(marked, "marked")
     if marked.shape != (info.rows, info.cols):
@@ -166,7 +168,7 @@ def recover_principal_components(marked, info):
         )
     if info.alpha == 0:
         raise DegenerateKey("side info has alpha = 0; embedding is not invertible")
-    return _unmark(info.u, info.v, marked, reconstruct(info), info.alpha)
+    return _unmark(info.u, info.s, info.v, marked, info.alpha)
 
 
 def extract(marked, info):

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import svdmark as sm
-from svdmark.errors import DimensionError, InvalidParameter
+from svdmark.errors import DimensionError, InvalidInput, InvalidParameter
 
 import thresholds as th
 from conftest import seeded_matrix
@@ -161,6 +163,42 @@ class TestResize:
         a = np.full((4, 4), 3.5)
         np.testing.assert_allclose(sm.resize_bilinear(a, 9, 7), np.full((9, 7), 3.5))
 
+    @pytest.mark.parametrize("shape, target", [
+        ((16, 16), (8, 8)),      # down
+        ((16, 16), (37, 29)),    # up
+        ((256, 256), (128, 128)),
+        ((128, 128), (256, 256)),
+        ((12, 20), (5, 31)),     # rectangular, down one axis and up the other
+        ((20, 12), (33, 7)),
+        ((1, 9), (1, 4)),        # 1xN
+        ((1, 9), (3, 17)),
+        ((9, 1), (4, 1)),        # Nx1
+        ((9, 1), (13, 2)),
+        ((10, 14), (10, 14)),    # same size
+        ((7, 5), (1, 1)),
+    ])
+    def test_bilinear_matches_four_corner_formula(self, shape, target):
+        a = seeded_matrix(18, *shape)
+        out = sm.resize_bilinear(a, *target)
+        assert out.shape == target
+        assert np.array_equal(out, four_corner_bilinear(a, *target))
+
+
+def four_corner_bilinear(a, rows, cols):
+    """Bilinear resampling by gathering all four corners of every target
+    pixel: the reference ``resize_bilinear`` must reproduce bit for bit."""
+    r = np.linspace(0.0, a.shape[0] - 1.0, rows)
+    c = np.linspace(0.0, a.shape[1] - 1.0, cols)
+    r0 = np.floor(r).astype(int)
+    c0 = np.floor(c).astype(int)
+    r1 = np.minimum(r0 + 1, a.shape[0] - 1)
+    c1 = np.minimum(c0 + 1, a.shape[1] - 1)
+    fr = (r - r0)[:, None]
+    fc = (c - c0)[None, :]
+    top = a[np.ix_(r0, c0)] * (1.0 - fc) + a[np.ix_(r0, c1)] * fc
+    bottom = a[np.ix_(r1, c0)] * (1.0 - fc) + a[np.ix_(r1, c1)] * fc
+    return top * (1.0 - fr) + bottom * fr
+
 
 @pytest.fixture(scope="module")
 def small_scene():
@@ -222,6 +260,16 @@ class TestSweep:
             sm.robustness_sweep(cover, wm, [0.1, bad],
                                 [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])
 
+    # The sweep validates the arrays it makes from a caller's alpha once:
+    # a subnormal alpha overflows the recovery, a huge one the marked image.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [5e-324, 1e308])
+    def test_overflowing_alpha_rejected(self, small_scene, alpha):
+        cover, wm = small_scene
+        with pytest.raises(InvalidInput, match="NaN or Inf"):
+            sm.robustness_sweep(cover, wm, [alpha],
+                                [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])
+
     def test_shape_mismatch_rejected(self, small_scene):
         cover, wm = small_scene
         with pytest.raises(DimensionError):
@@ -265,3 +313,19 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("shape", [(48, 64), (64, 48)])
     def test_rectangular_bit_identical(self, shape):
         self.assert_rows_equal(seeded_matrix(11, *shape), seeded_matrix(12, *shape))
+
+
+def test_sweep_csv_digest_pinned(cover256, watermark256):
+    # The sweep-256 benchmark's grid on the canonical scene; the CSV bytes
+    # are part of the output contract, not just the rows' values.
+    q = 256 // 8
+    attacks = [
+        sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=2.0, seed=7),
+        sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT),
+        sm.AttackSpec(kind=sm.AttackKind.CROP, rect=(q, q, 2 * q, 2 * q)),
+        sm.AttackSpec(kind=sm.AttackKind.RESCALE, scale=0.5),
+    ]
+    alphas = [round(0.05 * k, 2) for k in range(1, 11)]
+    csv = sm.robustness_sweep(cover256, watermark256, alphas, attacks).to_csv()
+    assert len(csv.splitlines()) == 41
+    assert hashlib.sha256(csv.encode("ascii")).hexdigest() == th.SWEEP_256_CSV_SHA256

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,9 @@ from svdmark.cli import cli_main
 
 import thresholds as th
 from conftest import make_cover, make_reference, make_watermark
-from keyfiles import rewrite_key_metadata
+from keyfiles import key_parts, rewrite_key_metadata, write_key_parts
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -290,3 +297,42 @@ class TestKeyRouting:
         assert run(["extract", "--marked", keys["ppm"], "--key", keys["bundle"],
                     "--out", keys["out"]]) == 1
         assert capsys.readouterr().err.startswith("error: MalformedSideInfo")
+
+
+class TestOverflowKeepsOneErrorLine:
+    """Huge finite entries overflow numpy arithmetic on the way to their
+    rejection; stderr must still be the one ``error:`` line.  Run in a
+    subprocess, since pytest captures warnings in-process."""
+
+    @staticmethod
+    def extract(tmp_path, marked, key):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "svdmark.cli", "extract", "--marked", marked,
+             "--key", key, "--out", str(tmp_path / "w.svdf")],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.fixture()
+    def embedded(self, scene):
+        _, _, p = scene
+        assert run(["embed", "--cover", p["cover"], "--watermark", p["wm"],
+                    "--out", p["marked"], "--key", p["key"]]) == 0
+        return p
+
+    def test_key_with_huge_u_entry(self, embedded, tmp_path):
+        meta, payload = key_parts(embedded["key"])
+        payload = np.float64(1e300).tobytes() + payload[8:]  # u[0, 0]
+        bad_key = str(tmp_path / "bad.svdk")
+        write_key_parts(bad_key, meta, payload)
+        proc = self.extract(tmp_path, embedded["marked"], bad_key)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: InvalidInput: u is not orthogonal"]
+
+    def test_marked_image_with_huge_entry(self, embedded, tmp_path):
+        marked = sm.read_float_image(embedded["marked"])
+        marked[0, 0] = np.finfo(np.float64).max
+        bad_marked = str(tmp_path / "bad.svdf")
+        sm.write_float_image(marked, bad_marked)
+        proc = self.extract(tmp_path, bad_marked, embedded["key"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: InvalidInput: m contains NaN or Inf entries"]

@@ -61,3 +61,10 @@ PCG64_SEED42_NORMAL_SIGMA5_FIRST4 = [
     3.7522559790322862, 4.7028235819560695,
 ]
 MASK_ALICE1_2X4 = [[55, 158, 50, 40], [133, 152, 95, 141]]
+
+# SHA-256 of ``robustness_sweep(...).to_csv()`` on the canonical 256x256
+# scene with the sweep-256 benchmark's grid at seed 0: alphas 0.05, 0.10,
+# ..., 0.50 and attacks gaussian-noise (sigma 2, seed 7), quantize-8bit,
+# crop (32, 32, 64, 64) and rescale 0.5.  Recorded before the sweep's
+# recovery moved from subtracting the rebuilt cover to ``U^T M V - S``.
+SWEEP_256_CSV_SHA256 = "8d32d79feb7b66d9713bcd47fcb87de7314d12d92fb13b69764686d81fc0da45"
