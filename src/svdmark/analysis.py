@@ -34,6 +34,8 @@ def _psnr(a, b):
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
+    if mse == math.inf:  # the squared error overflowed; log10(0) would warn
+        return -math.inf
     return float(10.0 * np.log10(PEAK * PEAK / mse))
 
 
@@ -162,12 +164,19 @@ def resize_bilinear(a, rows, cols):
     a = as_matrix(a, "a")
     if rows < 1 or cols < 1:
         raise InvalidParameter(f"target shape must be positive, got {rows}x{cols}")
-    # Columns first, then rows: row r of ``t`` is the column-interpolated
-    # source row r, so rows r0 and r1 of ``t`` are the four-corner
-    # formula's top and bottom terms, bit for bit, at half the gathers.
-    # The in-place updates round exactly like ``x * w0 + y * w1``.
+    # Columns first, then rows: ``t`` holds the column-interpolated source
+    # rows that the output reads (``slot`` renumbers them), so rows r0 and
+    # r1 of ``t`` are the four-corner formula's top and bottom terms, bit
+    # for bit, at fewer gathers.  The in-place updates round exactly like
+    # ``x * w0 + y * w1``.
     r0, r1, fr = _bilinear_axis(a.shape[0], rows)
     c0, c1, fc = _bilinear_axis(a.shape[1], cols)
+    read = np.zeros(a.shape[0], bool)
+    read[r0] = read[r1] = True
+    if not read.all():
+        a = a[read]
+        slot = np.cumsum(read) - 1
+        r0, r1 = slot[r0], slot[r1]
     t = np.take(a, c0, axis=1)
     t *= 1.0 - fc
     t += np.take(a, c1, axis=1) * fc
@@ -248,12 +257,12 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     centred_wm = _centred(watermark)
     rows = []
     for alpha in alphas:
-        # The one array the sweep makes from a caller's number: an alpha
-        # large enough to overflow is rejected as ``psnr`` would.
-        marked = as_matrix(_mark(f.u, f.s, f.v, a_wa, alpha), "marked")
+        marked = _mark(f.u, f.sigma, f.v, a_wa, alpha)
         fidelity = _psnr(cover, marked)
+        if fidelity == -math.inf:
+            raise InvalidParameter(f"sweep alpha {alpha} overflows the marked image's PSNR")
         for spec, attack in zip(attacks, attack_fns):
-            w_star = _unmark(f.u, f.s, f.v, attack(marked), alpha) @ v_w.T
+            w_star = _unmark(f.u, f.sigma, f.v, attack(marked), alpha) @ v_w.T
             centred = _centred(w_star)
             if not math.isfinite(centred[1]):
                 # A NaN or Inf entry lands here (so does a norm that merely

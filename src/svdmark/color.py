@@ -108,19 +108,14 @@ def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
     if w.shape != img.r.shape:
         raise DimensionError(f"watermark {w.shape} does not match image planes")
     split = semiblind.split_watermark(w)
+    marked, infos = zip(*(_embed_plane(plane, split, scheme, alpha, identity)
+                          for plane in _planes(img, strategy)))
+    bundle = SideInfoBundle(strategy, infos)
     if strategy is ChannelStrategy.LUMINANCE:
-        marked_plane, info = _embed_plane(luminance_split(img), split, scheme, alpha, identity)
-        return luminance_merge(img, marked_plane), SideInfoBundle(strategy, (info,))
+        return luminance_merge(img, marked[0]), bundle
     if strategy is ChannelStrategy.BLUE_CHANNEL:
-        marked_plane, info = _embed_plane(img.b, split, scheme, alpha, identity)
-        return RgbImage(r=img.r, g=img.g, b=marked_plane), SideInfoBundle(strategy, (info,))
-    marked_planes = []
-    infos = []
-    for plane in img.channels():
-        marked_plane, info = _embed_plane(plane, split, scheme, alpha, identity)
-        marked_planes.append(marked_plane)
-        infos.append(info)
-    return RgbImage(*marked_planes), SideInfoBundle(strategy, tuple(infos))
+        return RgbImage(r=img.r, g=img.g, b=marked[0]), bundle
+    return RgbImage(*marked), bundle
 
 
 def extract_color(img, bundle, strategy, identity=None):
@@ -134,15 +129,18 @@ def extract_color(img, bundle, strategy, identity=None):
         raise MalformedSideInfo(
             f"bundle was created with {bundle.strategy.value}, not {strategy.value}"
         )
+    estimates = [_extract_plane(plane, info, identity)
+                 for plane, info in zip(_planes(img, strategy), bundle.infos)]
+    return estimates[0] if len(estimates) == 1 else sum(estimates) / 3.0
+
+
+def _planes(img, strategy):
+    """The planes ``strategy`` marks, in bundle order."""
     if strategy is ChannelStrategy.LUMINANCE:
-        return _extract_plane(luminance_split(img), bundle.infos[0], identity)
+        return (luminance_split(img),)
     if strategy is ChannelStrategy.BLUE_CHANNEL:
-        return _extract_plane(img.b, bundle.infos[0], identity)
-    estimates = [
-        _extract_plane(plane, info, identity)
-        for plane, info in zip(img.channels(), bundle.infos)
-    ]
-    return sum(estimates) / 3.0
+        return (img.b,)
+    return img.channels()
 
 
 def _embed_plane(plane, split, scheme, alpha, identity):

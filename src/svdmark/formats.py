@@ -82,6 +82,8 @@ class _PnmReader:
             self.pos += 1
         if self.pos == start:
             raise CodecError(f"malformed PNM header: missing {name}")
+        if self.pos - start > 10:  # also keeps int() under its 4300-digit limit
+            raise CodecError(f"malformed PNM header: {name} has over 10 digits")
         return int(self.data[start : self.pos])
 
     def raster(self, count):
@@ -272,11 +274,10 @@ def _sideinfo_from_doc(doc, arrays):
         raise MalformedSideInfo("semi-blind side info must not carry a quant block")
     u = arrays.take(doc, "u", rows * rows).reshape(rows, rows)
     if s_layout == "diag":
-        s = np.zeros((rows, cols))
-        np.fill_diagonal(s, arrays.take(doc, "s_diag_or_full", min(rows, cols)))
+        s = arrays.take(doc, "s_diag_or_full", min(rows, cols))
     else:
-        # Written by earlier releases for hash-code keys; SideInfo still
-        # rejects any non-zero off-diagonal entry.
+        # The dense S that earlier releases wrote for hash-code keys;
+        # SideInfo rejects any non-zero off-diagonal entry.
         s = arrays.take(doc, "s_diag_or_full", rows * cols).reshape(rows, cols)
     v = arrays.take(doc, "v", cols * cols).reshape(cols, cols)
     v_w = arrays.take(doc, "v_w", cols * cols).reshape(cols, cols)
@@ -288,7 +289,7 @@ def _write_key(path, meta, infos):
     text = json.dumps(meta, sort_keys=True).encode("ascii")
     text += b" " * (-(KEY_HEADER.size + len(text)) % 8)  # align the payload
     arrays = [np.ascontiguousarray(a, dtype="<f8")
-              for i in infos for a in (i.u, np.diagonal(i.s), i.v, i.v_w)]
+              for i in infos for a in (i.u, i.sigma, i.v, i.v_w)]
     _atomic_write(path, KEY_HEADER.pack(KEY_MAGIC, KEY_VERSION, len(text)), text, *arrays)
 
 

@@ -8,8 +8,6 @@ entry of the U column.  Identical input bits always produce identical
 output bits, which is what makes stored side info replayable.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, InvalidInput
@@ -28,51 +26,61 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-@dataclass
 class SvdFactors:
-    """Full SVD triple: ``u`` (M x M), ``s`` (M x N dense), ``v`` (N x N).
+    """Full SVD triple: ``u`` (M x M), ``sigma`` (the min(M, N) singular
+    values) and ``v`` (N x N).
 
-    ``u @ s @ v.T`` reproduces the decomposed matrix.  The diagonal of
-    ``s`` is non-negative and non-increasing, off-diagonal entries are
-    exactly zero, and both ``u`` and ``v`` are orthogonal within
-    ``ORTHOGONALITY_TOL``.  Treat all three arrays as read-only.
+    ``sigma`` is the stored form of ``S``: non-negative and
+    non-increasing, and ``u`` and ``v`` are orthogonal within
+    ``ORTHOGONALITY_TOL``.  ``s=`` takes either ``sigma`` or the dense
+    M x N diagonal matrix, whose off-diagonal entries must be exactly
+    zero.  Treat all arrays as read-only.
     """
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
+    def __init__(self, u, s, v):
+        self.u, self.sigma, self.v = _check_svd_triple(u, s, v)
 
-    def __post_init__(self):
-        self.u, self.s, self.v = _check_svd_triple(self.u, self.s, self.v)
+    @property
+    def s(self):
+        """The dense M x N ``S``: a new array on every access, for readers
+        that want the matrix form; the library itself uses ``sigma``."""
+        s = np.zeros((self.u.shape[0], self.v.shape[0]))
+        np.fill_diagonal(s, self.sigma)
+        return s
 
     @property
     def singular_values(self):
-        return np.diagonal(self.s).copy()
+        return self.sigma.copy()
 
 
 def _check_svd_triple(u, s, v):
-    """Coerce ``(u, s, v)`` to matrices that hold the ``SvdFactors``
+    """Coerce ``(u, s, v)`` to ``(u, sigma, v)`` holding the ``SvdFactors``
     invariants, or raise; the one check for factors from any source."""
     u = as_matrix(u, "u")
-    s = as_matrix(s, "s")
+    sigma = np.asarray(s, dtype=np.float64)
+    dense = sigma.ndim != 1
+    if dense:
+        sigma = as_matrix(sigma, "s")
+    elif not np.all(np.isfinite(sigma)):
+        raise InvalidInput("s contains NaN or Inf entries")
     v = as_matrix(v, "v")
-    m, n = s.shape
-    if u.shape != (m, m) or v.shape != (n, n):
+    m, n = sigma.shape if dense else (u.shape[0], v.shape[0])
+    diag = np.diagonal(sigma) if dense else sigma
+    if u.shape != (m, m) or v.shape != (n, n) or diag.size != min(m, n):
         raise DimensionError(
-            f"factor shapes {u.shape}, {s.shape}, {v.shape} do not form a full SVD"
+            f"factor shapes {u.shape}, {sigma.shape}, {v.shape} do not form a full SVD"
         )
     if orthogonality_residual(u) > ORTHOGONALITY_TOL:
         raise InvalidInput("u is not orthogonal")
     if orthogonality_residual(v) > ORTHOGONALITY_TOL:
         raise InvalidInput("v is not orthogonal")
-    diag = np.diagonal(s)
     if np.any(diag < 0) or np.any(np.diff(diag) > 0):
         raise InvalidInput("singular values must be non-negative and non-increasing")
-    off = s.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off != 0.0):
+    # count_nonzero counts neither sign of zero, so this holds exactly
+    # when every off-diagonal entry of a dense ``s`` is zero.
+    if np.count_nonzero(sigma) != np.count_nonzero(diag):
         raise InvalidInput("s must be diagonal (off-diagonal entries exactly zero)")
-    return u, s, v
+    return u, diag.copy() if dense else sigma, v
 
 
 def svd(a):
@@ -99,12 +107,10 @@ def svd(a):
     u, sv, vt = np.linalg.svd(a, full_matrices=True)
     v = np.ascontiguousarray(vt.T)
     _canonical_signs(u, v)
-    s = np.zeros(a.shape)
-    np.fill_diagonal(s, sv)
     # LAPACK output holds the SvdFactors invariants by construction, so it
-    # skips __post_init__; factors from anywhere else go through the checks.
+    # skips __init__; factors from anywhere else go through the checks.
     f = object.__new__(SvdFactors)
-    f.u, f.s, f.v = u, s, v
+    f.u, f.sigma, f.v = u, sv, v
     return f
 
 

@@ -11,7 +11,6 @@ right singular vectors ``V_w``, and ``alpha``).
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,14 +22,7 @@ from .errors import (
     InvalidParameter,
     MalformedSideInfo,
 )
-from .hashstream import QuantParams
-from .matrix import (
-    ORTHOGONALITY_TOL,
-    _check_svd_triple,
-    as_matrix,
-    orthogonality_residual,
-    svd,
-)
+from .matrix import ORTHOGONALITY_TOL, SvdFactors, as_matrix, orthogonality_residual, svd
 
 # Default embedding strength; strong enough to survive mild distortion
 # while keeping the marked image visually close to the cover.
@@ -45,41 +37,32 @@ class SchemeTag(str, Enum):
     HASH_CODE = "hash-code"
 
 
-@dataclass
-class SideInfo:
+class SideInfo(SvdFactors):
     """Everything the detector needs, captured at embed time.
 
-    Stores the exact cover factors rather than the cover image:
-    recomputing the SVD later could flip singular-vector signs and break
-    the inversion, while ``u @ s @ v.T`` recovers the cover when needed.
+    Stores the exact cover factors (``u``, ``sigma``, ``v``, checked as
+    ``SvdFactors`` are) rather than the cover image: recomputing the SVD
+    later could flip singular-vector signs and break the inversion.
     Never contains the identity or the derived mask.  Treat as read-only
     once constructed.
     """
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    v_w: np.ndarray
-    alpha: float
-    rows: int
-    cols: int
-    scheme: SchemeTag = SchemeTag.SEMI_BLIND
-    quant: QuantParams | None = None
-
-    def __post_init__(self):
-        self.u, self.s, self.v = _check_svd_triple(self.u, self.s, self.v)
-        self.v_w = as_matrix(self.v_w, "v_w")
-        self.scheme = SchemeTag(self.scheme)
-        if self.s.shape != (self.rows, self.cols) or self.v_w.shape != self.v.shape:
-            raise DimensionError(f"factor shapes do not conform to {self.rows}x{self.cols}")
+    def __init__(self, u, s, v, v_w, alpha, rows, cols,
+                 scheme=SchemeTag.SEMI_BLIND, quant=None):
+        super().__init__(u, s, v)
+        self.v_w = as_matrix(v_w, "v_w")
+        self.scheme = SchemeTag(scheme)
+        self.rows, self.cols, self.quant = rows, cols, quant
+        if (len(self.u), len(self.v)) != (rows, cols) or self.v_w.shape != self.v.shape:
+            raise DimensionError(f"factor shapes do not conform to {rows}x{cols}")
         if orthogonality_residual(self.v_w) > ORTHOGONALITY_TOL:
             raise InvalidInput("v_w is not orthogonal")
-        self.alpha = float(self.alpha)
+        self.alpha = float(alpha)
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise InvalidParameter(f"alpha must be a non-negative real, got {self.alpha}")
-        if self.scheme is SchemeTag.HASH_CODE and self.quant is None:
+        if self.scheme is SchemeTag.HASH_CODE and quant is None:
             raise MalformedSideInfo("hash-code side info requires quantization params")
-        if self.scheme is SchemeTag.SEMI_BLIND and self.quant is not None:
+        if self.scheme is SchemeTag.SEMI_BLIND and quant is not None:
             raise MalformedSideInfo("semi-blind side info must not carry quantization params")
 
 
@@ -90,7 +73,10 @@ def split_watermark(w):
     ``a_wa @ v_w.T`` reproduces the watermark.
     """
     f = svd(w)
-    return f.u @ f.s, f.v
+    k = f.sigma.size
+    # ``+ 0.0`` turns a zero singular value times a negative entry from
+    # -0.0 into the +0.0 that ``U_w @ S_w`` gives, so keys keep their bits.
+    return np.pad(f.u[:, :k] * f.sigma + 0.0, ((0, 0), (0, len(f.v) - k))), f.v
 
 
 def _conforming_pair(cover, watermark):
@@ -104,15 +90,21 @@ def _conforming_pair(cover, watermark):
     return cover, watermark
 
 
-def _mark(u, s, v, payload, alpha):
-    """The scheme's forward algebra on precomputed cover factors."""
-    return u @ (s + alpha * payload) @ v.T
+def _mark(u, sigma, v, payload, alpha):
+    """The scheme's forward algebra on precomputed cover factors,
+    ``U (S + alpha payload) V^T``; a marked image that overflows is
+    rejected here, before any side info is built for it."""
+    t = alpha * payload
+    t[np.diag_indices(sigma.size)] += sigma
+    return as_matrix(u @ t @ v.T, "marked")
 
 
-def _unmark(u, s, v, marked, alpha):
+def _unmark(u, sigma, v, marked, alpha):
     """Inverse of ``_mark``: ``U`` and ``V`` are orthogonal, so projecting
     onto them leaves ``S + alpha * payload``."""
-    return (u.T @ marked @ v - s) / alpha
+    t = u.T @ marked @ v
+    t[np.diag_indices(sigma.size)] -= sigma
+    return t / alpha
 
 
 def embed(cover, watermark, alpha=DEFAULT_ALPHA):
@@ -139,18 +131,8 @@ def _embed_split(cover, split, alpha):
 def _embed_payload(cover, payload, v_w, alpha, scheme, quant=None):
     """Both schemes' embed core: mark ``cover`` with a prepared payload."""
     f = svd(cover)
-    info = SideInfo(
-        u=f.u,
-        s=f.s,
-        v=f.v,
-        v_w=v_w,
-        alpha=alpha,
-        rows=cover.shape[0],
-        cols=cover.shape[1],
-        scheme=scheme,
-        quant=quant,
-    )
-    return _mark(f.u, f.s, f.v, payload, alpha), info
+    marked = _mark(f.u, f.sigma, f.v, payload, alpha)
+    return marked, SideInfo(f.u, f.sigma, f.v, v_w, alpha, *cover.shape, scheme, quant)
 
 
 def recover_principal_components(marked, info):
@@ -168,7 +150,7 @@ def recover_principal_components(marked, info):
         )
     if info.alpha == 0:
         raise DegenerateKey("side info has alpha = 0; embedding is not invertible")
-    return _unmark(info.u, info.s, info.v, marked, info.alpha)
+    return _unmark(info.u, info.sigma, info.v, marked, info.alpha)
 
 
 def extract(marked, info):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -329,3 +330,20 @@ def test_sweep_csv_digest_pinned(cover256, watermark256):
     csv = sm.robustness_sweep(cover256, watermark256, alphas, attacks).to_csv()
     assert len(csv.splitlines()) == 41
     assert hashlib.sha256(csv.encode("ascii")).hexdigest() == th.SWEEP_256_CSV_SHA256
+
+
+def test_bilinear_short_wide_target_matches_four_corner_formula():
+    # Reads only some of the source rows, so only those get interpolated.
+    a = seeded_matrix(19, 256, 256)
+    assert np.array_equal(sm.resize_bilinear(a, 37, 300), four_corner_bilinear(a, 37, 300))
+
+
+# An alpha whose marked image stays finite but whose squared error
+# overflows has no PSNR to report (it printed -inf and nc = 0 before).
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1e155, 1e300])
+def test_sweep_rejects_alpha_with_overflowing_psnr(small_scene, alpha):
+    cover, wm = small_scene
+    with pytest.raises(InvalidParameter, match=re.escape(f"alpha {alpha} overflows")):
+        sm.robustness_sweep(cover, wm, [0.1, alpha],
+                            [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])

@@ -336,3 +336,21 @@ class TestOverflowKeepsOneErrorLine:
         proc = self.extract(tmp_path, bad_marked, embedded["key"])
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: InvalidInput: m contains NaN or Inf entries"]
+
+
+def test_sweep_alpha_with_overflowing_psnr_is_one_error_line(tmp_path):
+    # Run in a subprocess, since pytest captures warnings in-process.
+    cover, wm = str(tmp_path / "cover.pgm"), str(tmp_path / "wm.pgm")
+    sm.write_pgm(make_cover(16), cover)
+    sm.write_pgm(make_watermark(16), wm)
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "svdmark.cli", "sweep", "--cover", cover,
+         "--watermark", wm, "--alphas", "1e300", "--attacks", "quantize-8bit",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: InvalidParameter: sweep alpha 1e+300 overflows the marked image's PSNR"]
+    assert not out.exists()

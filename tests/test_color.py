@@ -189,3 +189,11 @@ class TestBundleAndImageValidation:
     def test_rgb_plane_shapes_must_match(self):
         with pytest.raises(DimensionError):
             sm.RgbImage(r=np.zeros((2, 2)), g=np.zeros((2, 2)), b=np.zeros((3, 3)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", list(sm.ChannelStrategy))
+def test_embed_color_rejects_overflowing_alpha(rgb128, strategy):
+    w = sm.synthetic_image(128, 128, 66, roughness=1.2, contrast=70.0)
+    with pytest.raises(sm.InvalidInput, match="marked contains NaN or Inf entries"):
+        sm.embed_color(rgb128, w, strategy, sm.SchemeTag.SEMI_BLIND, alpha=1e308)

@@ -142,3 +142,9 @@ class TestVerifyInvisible:
         assert (report.decision is sm.Verdict.VERIFIED) == (
             report.nc_score >= report.threshold
         )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_embed_invisible_rejects_overflowing_alpha(cover64, watermark64, identity):
+    with pytest.raises(sm.InvalidInput, match="marked contains NaN or Inf entries"):
+        sm.embed_invisible(cover64, watermark64, identity, 1e308)

@@ -222,3 +222,11 @@ def _corrupt(info, corruption):
     elif corruption == "negative-s":
         s[-1, -1] = -1.0
     return s, v_w
+
+
+# The shared mark core checks the marked image, so an alpha that overflows
+# it fails in the library, not later in a file writer.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_embed_rejects_overflowing_alpha(cover64, watermark64):
+    with pytest.raises(InvalidInput, match="marked contains NaN or Inf entries"):
+        sm.embed(cover64, watermark64, 1e308)
