@@ -39,6 +39,12 @@ def _psnr(a, b):
     return float(10.0 * np.log10(PEAK * PEAK / mse))
 
 
+def _fixed6(x):
+    """``x`` in 6-decimal fixed point, unsigned when it rounds to zero."""
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def normalized_correlation(a, b):
     """Pearson correlation of the mean-centered, flattened matrices.
 
@@ -227,7 +233,7 @@ class RobustnessReport:
             seed = "" if row.attack.seed is None else str(row.attack.seed)
             lines.append(
                 f"{row.alpha:.6f},{row.attack.kind.value},{row.attack.params_label()},"
-                f"{seed},{row.psnr_db:.6f},{row.nc:.6f}"
+                f"{seed},{_fixed6(row.psnr_db)},{_fixed6(row.nc)}"
             )
         return "\n".join(lines) + "\n"
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, color, formats, invisible, semiblind
-from .analysis import AttackKind, AttackSpec
+from .analysis import AttackKind, AttackSpec, _fixed6
 from .errors import WatermarkError
 from .hashstream import Identity
 from .matrix import svd
@@ -55,11 +55,13 @@ def _build_parser():
     p.add_argument("--key", required=True, help="side-info key file to write")
     p.add_argument("--resize-watermark", action="store_true",
                    help="nearest-neighbor resize the watermark to the cover size")
+    p.set_defaults(run=lambda args: _cmd_embed(args, SchemeTag.SEMI_BLIND))
 
     p = sub.add_parser("extract", parents=[common], help="semi-blind extract")
     p.add_argument("--marked", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda args: _cmd_extract(args, SchemeTag.SEMI_BLIND))
 
     p = sub.add_parser("embed-hash", parents=[common], help="keyed invisible embed")
     p.add_argument("--cover", required=True)
@@ -68,12 +70,14 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--resize-watermark", action="store_true")
+    p.set_defaults(run=lambda args: _cmd_embed(args, SchemeTag.HASH_CODE))
 
     p = sub.add_parser("extract-hash", parents=[common], help="keyed invisible extract")
     p.add_argument("--marked", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--id", required=True, dest="identity")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda args: _cmd_extract(args, SchemeTag.HASH_CODE))
 
     p = sub.add_parser("verify-hash", parents=[common],
                        help="extract with an id and compare to a claimed watermark")
@@ -82,6 +86,7 @@ def _build_parser():
     p.add_argument("--id", required=True, dest="identity")
     p.add_argument("--claimed", required=True)
     p.add_argument("--threshold", type=float, default=invisible.DEFAULT_THRESHOLD)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("detect-reference", parents=[common],
                        help="project recovered components onto a reference basis")
@@ -89,10 +94,12 @@ def _build_parser():
     p.add_argument("--key", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_detect_reference)
 
     p = sub.add_parser("metrics", parents=[common], help="PSNR and correlation")
     p.add_argument("--a", required=True, dest="first")
     p.add_argument("--b", required=True, dest="second")
+    p.set_defaults(run=_cmd_metrics)
 
     p = sub.add_parser("attack", parents=[common], help="apply one attack to an image")
     p.add_argument("--input", required=True)
@@ -102,6 +109,7 @@ def _build_parser():
     p.add_argument("--rect", type=int, nargs=4, default=None,
                    metavar=("ROW0", "COL0", "HEIGHT", "WIDTH"))
     p.add_argument("--scale", type=float, default=None)
+    p.set_defaults(run=_cmd_attack)
 
     p = sub.add_parser("sweep", parents=[common], help="robustness sweep to CSV")
     p.add_argument("--cover", required=True)
@@ -112,6 +120,7 @@ def _build_parser():
                    help="comma-separated attack specs, e.g. "
                         "'gaussian-noise:sigma=2:seed=7,quantize-8bit'")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -213,7 +222,7 @@ def _cmd_verify(args):
     report = invisible.verify_invisible(
         marked, info, Identity.from_string(args.identity), claimed, args.threshold
     )
-    print(f"nc={report.nc_score:.6f} threshold={report.threshold:.6f} "
+    print(f"nc={_fixed6(report.nc_score)} threshold={report.threshold:.6f} "
           f"decision={report.decision.value}")
     return EXIT_OK if report.decision is invisible.Verdict.VERIFIED else EXIT_REJECTED
 
@@ -227,15 +236,15 @@ def _cmd_detect_reference(args):
     if args.out:
         formats.save_matrix(p_star, args.out)
     nc = analysis.normalized_correlation(p_star, reference)
-    print(f"nc={nc:.6f}")
+    print(f"nc={_fixed6(nc)}")
     return EXIT_OK
 
 
 def _cmd_metrics(args):
     a = formats.load_matrix(args.first)
     b = formats.load_matrix(args.second)
-    print(f"psnr_db={analysis.psnr(a, b):.6f}")
-    print(f"nc={analysis.normalized_correlation(a, b):.6f}")
+    print(f"psnr_db={_fixed6(analysis.psnr(a, b))}")
+    print(f"nc={_fixed6(analysis.normalized_correlation(a, b))}")
     return EXIT_OK
 
 
@@ -287,26 +296,7 @@ def _run(argv):
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_ERROR
-        if args.command == "embed":
-            return _cmd_embed(args, SchemeTag.SEMI_BLIND)
-        if args.command == "embed-hash":
-            return _cmd_embed(args, SchemeTag.HASH_CODE)
-        if args.command == "extract":
-            return _cmd_extract(args, SchemeTag.SEMI_BLIND)
-        if args.command == "extract-hash":
-            return _cmd_extract(args, SchemeTag.HASH_CODE)
-        if args.command == "verify-hash":
-            return _cmd_verify(args)
-        if args.command == "detect-reference":
-            return _cmd_detect_reference(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "attack":
-            return _cmd_attack(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        parser.print_usage(sys.stderr)
-        return EXIT_ERROR
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_ERROR

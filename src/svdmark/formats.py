@@ -11,8 +11,8 @@ the target directory and is moved into place at the end.
 import base64
 import binascii
 import json
-import math
 import os
+import re
 import struct
 import tempfile
 
@@ -60,79 +60,44 @@ def _to_bytes_255(m):
     return np.clip(np.rint(m), 0.0, 255.0).astype(np.uint8)
 
 
-class _PnmReader:
-    """Tokenizer for the PNM header: whitespace-separated fields with
-    '#' comments running to end of line."""
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def magic(self):
-        if len(self.data) < 2:
-            raise CodecError("file too short for a PNM header")
-        tok = self.data[:2]
-        self.pos = 2
-        return tok
-
-    def int_field(self, name):
-        self._skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise CodecError(f"malformed PNM header: missing {name}")
-        if self.pos - start > 10:  # also keeps int() under its 4300-digit limit
-            raise CodecError(f"malformed PNM header: {name} has over 10 digits")
-        return int(self.data[start : self.pos])
-
-    def raster(self, count):
-        # Exactly one whitespace byte separates the header from the raster.
-        if self.pos >= len(self.data) or self.data[self.pos] not in b" \t\r\n":
-            raise CodecError("malformed PNM header: missing raster separator")
-        self.pos += 1
-        raster = self.data[self.pos : self.pos + count]
-        if len(raster) < count:
-            raise CodecError(f"truncated raster: expected {count} bytes, got {len(raster)}")
-        return raster
-
-    def _skip_separators(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos]
-            if c in b" \t\r\n":
-                self.pos += 1
-            elif c in b"#":
-                while self.pos < len(self.data) and self.data[self.pos] not in b"\n":
-                    self.pos += 1
-            else:
-                return
+# Magic, then width, height and maxval after whitespace and '#' comments.
+# Every token has one parse, so a failed match costs linear time.
+_PNM_FIELD = rb"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(\d{1,10})(?!\d)"
+_PNM_HEADER = re.compile(rb"P[1-6]" + _PNM_FIELD * 3)
 
 
 def _read_pnm(path, want_magic, channels):
     with open(path, "rb") as f:
         data = f.read()
-    reader = _PnmReader(data)
-    magic = reader.magic()
+    magic = data[:2]
     if magic != want_magic:
         if magic in _PNM_MAGICS:
             raise UnsupportedFormat(
                 f"expected {want_magic.decode()} data, got {magic.decode()}"
             )
         raise CodecError("not a PNM file")
-    cols = reader.int_field("width")
-    rows = reader.int_field("height")
-    maxval = reader.int_field("maxval")
+    header = _PNM_HEADER.match(data)
+    if header is None:  # 10 digits also keep int() under its 4300-digit limit
+        raise CodecError("malformed PNM header: need width, height, maxval of 1-10 digits")
+    cols, rows, maxval = map(int, header.groups())
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 is supported, got {maxval}")
     if rows < 1 or cols < 1:
         raise CodecError(f"bad image dimensions {rows}x{cols}")
-    raster = reader.raster(rows * cols * channels)
-    return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols * channels)
+    # Exactly one whitespace byte separates the header from the raster.
+    sep = header.end()
+    if sep >= len(data) or data[sep] not in b" \t\r\n":
+        raise CodecError("malformed PNM header: missing raster separator")
+    count = rows * cols * channels
+    raster = data[sep + 1 : sep + 1 + count]
+    if len(raster) < count:
+        raise CodecError(f"truncated raster: expected {count} bytes, got {len(raster)}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols, channels)
 
 
 def read_pgm(path):
     """Read a binary (P5) grayscale image as a float64 matrix."""
-    return _read_pnm(path, b"P5", 1).astype(np.float64)
+    return _read_pnm(path, b"P5", 1)[:, :, 0].astype(np.float64)
 
 
 def write_pgm(m, path):
@@ -144,9 +109,7 @@ def write_pgm(m, path):
 
 def read_ppm(path):
     """Read a binary (P6) color image."""
-    flat = _read_pnm(path, b"P6", 3).astype(np.float64)
-    rows, triple = flat.shape
-    pixels = flat.reshape(rows, triple // 3, 3)
+    pixels = _read_pnm(path, b"P6", 3).astype(np.float64)
     return RgbImage(r=pixels[:, :, 0], g=pixels[:, :, 1], b=pixels[:, :, 2])
 
 
@@ -253,8 +216,10 @@ def _sideinfo_from_doc(doc, arrays):
         s_layout = doc["s_layout"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise InvalidParameter(f"stored alpha must be positive, got {alpha}")
+    # SideInfo checks the rest, but allows alpha = 0 (an unmarked cover)
+    # and cannot tell "quant": null from no quant block.
+    if alpha == 0:
+        raise InvalidParameter("stored alpha must be positive, got 0")
     if rows < 1 or cols < 1:
         raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
     if s_layout not in ("diag", "full"):
@@ -262,14 +227,12 @@ def _sideinfo_from_doc(doc, arrays):
     quant = None
     if scheme is SchemeTag.HASH_CODE:
         q = doc.get("quant")
-        if not isinstance(q, dict):
-            raise MalformedSideInfo("hash-code side info requires a quant block")
         try:
             quant = QuantParams(
                 lo=float(q["lo"]), hi=float(q["hi"]), degenerate=bool(q["degenerate"])
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedSideInfo(f"malformed quant block: {exc}") from exc
+            raise MalformedSideInfo(f"missing or malformed quant block: {exc}") from exc
     elif "quant" in doc:
         raise MalformedSideInfo("semi-blind side info must not carry a quant block")
     u = arrays.take(doc, "u", rows * rows).reshape(rows, rows)

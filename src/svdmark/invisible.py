@@ -104,5 +104,3 @@ def verify_invisible(marked, info, identity, claimed, threshold=DEFAULT_THRESHOL
 def _require_hash_info(info):
     if info.scheme is not SchemeTag.HASH_CODE:
         raise MalformedSideInfo(f"expected hash-code side info, got {info.scheme.value}")
-    if info.quant is None:
-        raise MalformedSideInfo("hash-code side info is missing quantization params")

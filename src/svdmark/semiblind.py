@@ -132,6 +132,9 @@ def _embed_payload(cover, payload, v_w, alpha, scheme, quant=None):
     """Both schemes' embed core: mark ``cover`` with a prepared payload."""
     f = svd(cover)
     marked = _mark(f.u, f.sigma, f.v, payload, alpha)
+    with np.errstate(over="ignore"):
+        if np.mean((marked - cover) ** 2) == math.inf:
+            raise InvalidParameter(f"alpha {alpha} overflows the marked image's PSNR")
     return marked, SideInfo(f.u, f.sigma, f.v, v_w, alpha, *cover.shape, scheme, quant)
 
 

@@ -354,3 +354,30 @@ def test_sweep_alpha_with_overflowing_psnr_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: InvalidParameter: sweep alpha 1e+300 overflows the marked image's PSNR"]
     assert not out.exists()
+
+
+def test_embed_alpha_with_overflowing_squared_error_is_one_error_line(tmp_path):
+    # Run in a subprocess, since pytest captures warnings in-process.
+    cover, wm = str(tmp_path / "cover.pgm"), str(tmp_path / "wm.pgm")
+    sm.write_pgm(make_cover(16), cover)
+    sm.write_pgm(make_watermark(16), wm)
+    marked, key = tmp_path / "marked.svdf", tmp_path / "key.svdk"
+    proc = subprocess.run(
+        [sys.executable, "-m", "svdmark.cli", "embed", "--cover", cover, "--watermark", wm,
+         "--alpha", "1e155", "--out", str(marked), "--key", str(key)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: InvalidParameter: alpha 1e+155 overflows the marked image's PSNR"]
+    assert not marked.exists() and not key.exists()
+
+
+def test_metrics_prints_a_tiny_negative_correlation_unsigned(tmp_path, capsys):
+    a, b = str(tmp_path / "a.svdf"), str(tmp_path / "b.svdf")
+    sm.write_float_image(np.array([[1.0, -1.0], [0.0, 0.0]]), a)
+    sm.write_float_image(np.array([[-1e-9, 1e-9], [1.0, -1.0]]), b)
+    assert -5e-7 < sm.normalized_correlation(sm.read_float_image(a),
+                                             sm.read_float_image(b)) < 0
+    assert run(["metrics", "--a", a, "--b", b]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "nc=0.000000"

@@ -197,3 +197,13 @@ def test_embed_color_rejects_overflowing_alpha(rgb128, strategy):
     w = sm.synthetic_image(128, 128, 66, roughness=1.2, contrast=70.0)
     with pytest.raises(sm.InvalidInput, match="marked contains NaN or Inf entries"):
         sm.embed_color(rgb128, w, strategy, sm.SchemeTag.SEMI_BLIND, alpha=1e308)
+
+
+@pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+@pytest.mark.parametrize("strategy", list(sm.ChannelStrategy))
+def test_embed_color_rejects_alpha_overflowing_squared_error(strategy, scheme):
+    img = sm.synthetic_rgb(16, 16, seed=7)
+    w = sm.synthetic_image(16, 16, 8, roughness=1.2, contrast=70.0)
+    identity = sm.Identity.from_string("alice|1") if scheme is sm.SchemeTag.HASH_CODE else None
+    with pytest.raises(InvalidParameter, match="alpha 1e\\+155 overflows"):
+        sm.embed_color(img, w, strategy, scheme, alpha=1e155, identity=identity)

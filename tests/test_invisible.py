@@ -148,3 +148,10 @@ class TestVerifyInvisible:
 def test_embed_invisible_rejects_overflowing_alpha(cover64, watermark64, identity):
     with pytest.raises(sm.InvalidInput, match="marked contains NaN or Inf entries"):
         sm.embed_invisible(cover64, watermark64, identity, 1e308)
+
+
+def test_embed_invisible_rejects_alpha_overflowing_squared_error(identity):
+    cover = sm.synthetic_image(16, 16, 5, roughness=2.0, contrast=52.0)
+    wm = sm.synthetic_image(16, 16, 6, roughness=1.2, contrast=70.0)
+    with pytest.raises(InvalidParameter, match="alpha 1e\\+155 overflows"):
+        sm.embed_invisible(cover, wm, identity, 1e155)

@@ -1,0 +1,128 @@
+"""One defect per key record, each pinned to the error class it raises.
+
+The key loaders check what only the file can tell (a stored alpha of
+exactly 0, the dimensions, ``s_layout``, a quant block on a semi-blind
+record, ``"quant": null`` included) and leave every other invariant to
+``SideInfo`` and ``QuantParams``.  Each defect below must raise the same
+class through ``load_sideinfo``, and through ``load_bundle`` when it
+sits in one of a bundle's records, for SVDK and version-1 JSON keys.
+"""
+
+import json
+import math
+
+import pytest
+
+import svdmark as sm
+from svdmark.errors import InvalidParameter, MalformedSideInfo
+
+from conftest import seeded_matrix
+from keyfiles import rewrite_key_metadata, write_v1_key
+
+ROWS, COLS = 10, 8
+QUANT = {"lo": -1.0, "hi": 2.0, "degenerate": False}
+
+
+def _set(field, value):
+    return lambda record: record.__setitem__(field, value)
+
+
+def _drop(field):
+    return lambda record: record.pop(field)
+
+
+ALPHA_DEFECTS = {
+    "alpha-zero": _set("alpha", 0.0),
+    "alpha-negative": _set("alpha", -0.1),
+    "alpha-nan": _set("alpha", math.nan),
+    "alpha-inf": _set("alpha", math.inf),
+}
+HASH_QUANT_DEFECTS = {
+    "quant-missing": _drop("quant"),
+    "quant-null": _set("quant", None),
+    "quant-list": _set("quant", [-1.0, 2.0, False]),
+    "quant-string": _set("quant", "lo=-1,hi=2"),
+    "quant-no-hi": lambda r: r["quant"].pop("hi"),
+}
+SEMIBLIND_QUANT_DEFECTS = {
+    "quant-null": _set("quant", None),
+    "quant-empty": _set("quant", {}),
+    "quant-valid": _set("quant", QUANT),
+    "quant-inverted": _set("quant", {"lo": 2.0, "hi": -1.0, "degenerate": False}),
+    "quant-list": _set("quant", [-1.0, 2.0, False]),
+}
+
+
+@pytest.fixture(scope="module")
+def infos():
+    cover, wm = seeded_matrix(1, ROWS, COLS), seeded_matrix(2, ROWS, COLS)
+    identity = sm.Identity.from_string("alice|key-defects")
+    return {
+        sm.SchemeTag.SEMI_BLIND: sm.embed(cover, wm, 0.1)[1],
+        sm.SchemeTag.HASH_CODE: sm.embed_invisible(cover, wm, identity, 0.1)[1],
+    }
+
+
+def _write_single(path, info, mutate, container):
+    if container == "svdk":
+        sm.save_sideinfo(info, str(path))
+        rewrite_key_metadata(path, mutate)
+    else:
+        write_v1_key(info, path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+
+
+def _write_bundle(path, info, mutate):
+    # A blue-channel bundle holds one record; put the defect in it.
+    sm.save_bundle(sm.SideInfoBundle(sm.ChannelStrategy.BLUE_CHANNEL, (info,)), str(path))
+    rewrite_key_metadata(path, lambda meta: mutate(meta["infos"][0]))
+
+
+def _check(tmp_path, info, mutate, error):
+    for container in ("svdk", "v1"):
+        path = tmp_path / f"single.{container}"
+        _write_single(path, info, mutate, container)
+        with pytest.raises(error):
+            sm.load_sideinfo(str(path))
+    path = tmp_path / "bundle.svdk"
+    _write_bundle(path, info, mutate)
+    with pytest.raises(error):
+        sm.load_bundle(str(path))
+
+
+@pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+@pytest.mark.parametrize("defect", list(ALPHA_DEFECTS))
+def test_bad_stored_alpha(tmp_path, infos, scheme, defect):
+    _check(tmp_path, infos[scheme], ALPHA_DEFECTS[defect], InvalidParameter)
+
+
+@pytest.mark.parametrize("defect", list(HASH_QUANT_DEFECTS))
+def test_hash_key_without_a_usable_quant_block(tmp_path, infos, defect):
+    _check(tmp_path, infos[sm.SchemeTag.HASH_CODE], HASH_QUANT_DEFECTS[defect],
+           MalformedSideInfo)
+
+
+def test_hash_key_with_inverted_quant_range(tmp_path, infos):
+    # A well-formed block whose values QuantParams rejects.
+    _check(tmp_path, infos[sm.SchemeTag.HASH_CODE],
+           _set("quant", {"lo": 2.0, "hi": -1.0, "degenerate": False}), InvalidParameter)
+
+
+@pytest.mark.parametrize("defect", list(SEMIBLIND_QUANT_DEFECTS))
+def test_semiblind_key_with_any_quant(tmp_path, infos, defect):
+    _check(tmp_path, infos[sm.SchemeTag.SEMI_BLIND], SEMIBLIND_QUANT_DEFECTS[defect],
+           MalformedSideInfo)
+
+
+def test_unmutated_keys_load(tmp_path, infos):
+    # Every rejection above is earned: the same writers without a defect load.
+    for info in infos.values():
+        for container in ("svdk", "v1"):
+            path = tmp_path / f"single.{container}"
+            _write_single(path, info, lambda record: None, container)
+            assert sm.load_sideinfo(str(path)).scheme is info.scheme
+        path = tmp_path / "bundle.svdk"
+        _write_bundle(path, info, lambda record: None)
+        assert sm.load_bundle(str(path)).infos[0].scheme is info.scheme

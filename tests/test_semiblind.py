@@ -230,3 +230,14 @@ def _corrupt(info, corruption):
 def test_embed_rejects_overflowing_alpha(cover64, watermark64):
     with pytest.raises(InvalidInput, match="marked contains NaN or Inf entries"):
         sm.embed(cover64, watermark64, 1e308)
+
+
+# A finite marked image can still be too far from the cover for its
+# squared error, and so its PSNR, to be a number; the embed core rejects
+# such an alpha instead of writing a mark no metric can score.
+def test_embed_rejects_alpha_overflowing_squared_error():
+    cover, wm = seeded_matrix(1, 16, 16), seeded_matrix(2, 16, 16)
+    with pytest.raises(InvalidParameter, match="alpha 1e\\+155 overflows"):
+        sm.embed(cover, wm, 1e155)
+    marked, _ = sm.embed(cover, wm, 1e150)
+    assert np.isfinite(sm.psnr(cover, marked))
