@@ -48,36 +48,23 @@ def _build_parser():
     parser = _Parser(prog="svdmark", description="SVD-based image watermarking toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("embed", parents=[common], help="semi-blind embed")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--watermark", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--key", required=True, help="side-info key file to write")
-    p.add_argument("--resize-watermark", action="store_true",
-                   help="nearest-neighbor resize the watermark to the cover size")
-    p.set_defaults(run=lambda args: _cmd_embed(args, SchemeTag.SEMI_BLIND))
-
-    p = sub.add_parser("extract", parents=[common], help="semi-blind extract")
-    p.add_argument("--marked", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(run=lambda args: _cmd_extract(args, SchemeTag.SEMI_BLIND))
-
-    p = sub.add_parser("embed-hash", parents=[common], help="keyed invisible embed")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--watermark", required=True)
-    p.add_argument("--id", required=True, dest="identity")
-    p.add_argument("--out", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--resize-watermark", action="store_true")
-    p.set_defaults(run=lambda args: _cmd_embed(args, SchemeTag.HASH_CODE))
-
-    p = sub.add_parser("extract-hash", parents=[common], help="keyed invisible extract")
-    p.add_argument("--marked", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--id", required=True, dest="identity")
-    p.add_argument("--out", required=True)
-    p.set_defaults(run=lambda args: _cmd_extract(args, SchemeTag.HASH_CODE))
+    for scheme, suffix, kind in ((SchemeTag.SEMI_BLIND, "", "semi-blind"),
+                                 (SchemeTag.HASH_CODE, "-hash", "keyed invisible")):
+        embed = sub.add_parser("embed" + suffix, parents=[common], help=f"{kind} embed")
+        embed.add_argument("--cover", required=True)
+        embed.add_argument("--watermark", required=True)
+        extract = sub.add_parser("extract" + suffix, parents=[common], help=f"{kind} extract")
+        extract.add_argument("--marked", required=True)
+        extract.add_argument("--key", required=True)
+        for p, run in ((embed, _cmd_embed), (extract, _cmd_extract)):
+            if scheme is SchemeTag.HASH_CODE:
+                p.add_argument("--id", required=True, dest="identity")
+            p.add_argument("--out", required=True)
+            p.set_defaults(run=run, identity=None)
+        embed.set_defaults(scheme=scheme)
+        embed.add_argument("--key", required=True, help="side-info key file to write")
+        embed.add_argument("--resize-watermark", action="store_true",
+                           help="nearest-neighbor resize the watermark to the cover size")
 
     p = sub.add_parser("verify-hash", parents=[common],
                        help="extract with an id and compare to a claimed watermark")
@@ -174,42 +161,36 @@ def _load_watermark(path, rows, cols, resize):
     return w
 
 
-def _cmd_embed(args, scheme):
-    identity = Identity.from_string(args.identity) if scheme is SchemeTag.HASH_CODE else None
+def _cmd_embed(args):
+    identity = None if args.identity is None else Identity.from_string(args.identity)
     if _is_color(args.cover):
         img = formats.read_ppm(args.cover)
         w = _load_watermark(args.watermark, img.rows, img.cols, args.resize_watermark)
         marked, bundle = color.embed_color(
-            img, w, args.strategy, scheme, alpha=args.alpha, identity=identity
+            img, w, args.strategy, args.scheme, alpha=args.alpha, identity=identity
         )
         formats.write_ppm(marked, args.out)
         formats.save_bundle(bundle, args.key)
     else:
         cover = formats.load_matrix(args.cover)
         w = _load_watermark(args.watermark, *cover.shape, args.resize_watermark)
-        if scheme is SchemeTag.HASH_CODE:
-            marked, info = invisible.embed_invisible(cover, w, identity, args.alpha)
-        else:
-            marked, info = semiblind.embed(cover, w, args.alpha)
+        (marked,), (info,) = invisible._embed_planes([cover], w, args.scheme, args.alpha,
+                                                     identity)
         formats.save_matrix(marked, args.out)
         formats.save_sideinfo(info, args.key)
     print(f"marked={args.out} key={args.key}")
     return EXIT_OK
 
 
-def _cmd_extract(args, scheme):
-    identity = Identity.from_string(args.identity) if scheme is SchemeTag.HASH_CODE else None
+def _cmd_extract(args):
+    identity = None if args.identity is None else Identity.from_string(args.identity)
     if _is_color(args.marked):
         bundle = formats.load_bundle(args.key)
         img = formats.read_ppm(args.marked)
         w_star = color.extract_color(img, bundle, bundle.strategy, identity=identity)
     else:
         info = formats.load_sideinfo(args.key)
-        marked = formats.load_matrix(args.marked)
-        if scheme is SchemeTag.HASH_CODE:
-            w_star = invisible.extract_invisible(marked, info, identity)
-        else:
-            w_star = semiblind.extract(marked, info)
+        w_star = invisible._extract_plane(formats.load_matrix(args.marked), info, identity)
     formats.save_matrix(w_star, args.out)
     print(f"extracted={args.out}")
     return EXIT_OK
@@ -231,6 +212,7 @@ def _cmd_detect_reference(args):
     info = formats.load_sideinfo(args.key)
     marked = formats.load_matrix(args.marked)
     reference = formats.load_matrix(args.reference)
+    semiblind._require_scheme(info, SchemeTag.SEMI_BLIND)
     a_wa_star = semiblind.recover_principal_components(marked, info)
     p_star = semiblind.detect_reference(a_wa_star, svd(reference).v)
     if args.out:

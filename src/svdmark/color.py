@@ -12,10 +12,10 @@ from enum import Enum
 
 import numpy as np
 
-from . import invisible, semiblind
-from .errors import DimensionError, InvalidKey, MalformedSideInfo
+from . import invisible
+from .errors import DimensionError, MalformedSideInfo
 from .matrix import as_matrix
-from .semiblind import DEFAULT_ALPHA, SchemeTag, SideInfo
+from .semiblind import DEFAULT_ALPHA, SideInfo
 
 
 class ChannelStrategy(str, Enum):
@@ -103,13 +103,7 @@ def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
     split once and shared by every marked plane.
     """
     strategy = ChannelStrategy(strategy)
-    scheme = SchemeTag(scheme)
-    w = as_matrix(w, "w")
-    if w.shape != img.r.shape:
-        raise DimensionError(f"watermark {w.shape} does not match image planes")
-    split = semiblind.split_watermark(w)
-    marked, infos = zip(*(_embed_plane(plane, split, scheme, alpha, identity)
-                          for plane in _planes(img, strategy)))
+    marked, infos = invisible._embed_planes(_planes(img, strategy), w, scheme, alpha, identity)
     bundle = SideInfoBundle(strategy, infos)
     if strategy is ChannelStrategy.LUMINANCE:
         return luminance_merge(img, marked[0]), bundle
@@ -129,7 +123,7 @@ def extract_color(img, bundle, strategy, identity=None):
         raise MalformedSideInfo(
             f"bundle was created with {bundle.strategy.value}, not {strategy.value}"
         )
-    estimates = [_extract_plane(plane, info, identity)
+    estimates = [invisible._extract_plane(plane, info, identity)
                  for plane, info in zip(_planes(img, strategy), bundle.infos)]
     return estimates[0] if len(estimates) == 1 else sum(estimates) / 3.0
 
@@ -141,23 +135,3 @@ def _planes(img, strategy):
     if strategy is ChannelStrategy.BLUE_CHANNEL:
         return (img.b,)
     return img.channels()
-
-
-def _embed_plane(plane, split, scheme, alpha, identity):
-    if scheme is SchemeTag.HASH_CODE:
-        if identity is None:
-            raise InvalidKey("hash-code embedding requires an identity")
-        return invisible._embed_split(plane, split, identity, alpha)
-    if identity is not None:
-        raise InvalidKey("semi-blind embedding takes no identity")
-    return semiblind._embed_split(plane, split, alpha)
-
-
-def _extract_plane(plane, info, identity):
-    if info.scheme is SchemeTag.HASH_CODE:
-        if identity is None:
-            raise InvalidKey("hash-code extraction requires an identity")
-        return invisible.extract_invisible(plane, info, identity)
-    if identity is not None:
-        raise InvalidKey("semi-blind extraction takes no identity")
-    return semiblind.extract(plane, info)

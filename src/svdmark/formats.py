@@ -61,8 +61,10 @@ def _to_bytes_255(m):
 
 
 # Magic, then width, height and maxval after whitespace and '#' comments.
-# Every token has one parse, so a failed match costs linear time.
-_PNM_FIELD = rb"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(\d{1,10})(?!\d)"
+# Every token has one parse, so a failed match costs linear time.  The
+# engine keeps state for each repeat of the comment group, so at most
+# 4096 comment lines may precede a field.
+_PNM_FIELD = rb"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*){0,4096}(\d{1,10})(?!\d)"
 _PNM_HEADER = re.compile(rb"P[1-6]" + _PNM_FIELD * 3)
 
 

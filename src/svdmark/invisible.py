@@ -8,21 +8,21 @@ extraction recovers the exact byte matrix and the watermark up to the
 quantization half-step.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import semiblind
 from .analysis import normalized_correlation
-from .errors import InvalidParameter, MalformedSideInfo
+from .errors import DimensionError, InvalidKey, InvalidParameter
 from .hashstream import dequantize, derive_mask, quantize, xor_mask
 from .matrix import as_matrix
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
-    _conforming_pair,
     _embed_payload,
+    _require_scheme,
     recover_principal_components,
     split_watermark,
 )
@@ -49,21 +49,43 @@ def embed_invisible(cover, watermark, identity, alpha=DEFAULT_ALPHA):
     factors and quantization range but never the identity or the mask;
     the identity is the secret key.
     """
-    cover, watermark = _conforming_pair(cover, watermark)
-    return _embed_split(cover, split_watermark(watermark), identity, alpha)
+    planes = [as_matrix(cover, "cover")]
+    (marked,), (info,) = _embed_planes(planes, watermark, SchemeTag.HASH_CODE, alpha, identity)
+    return marked, info
 
 
-def _embed_split(cover, split, identity, alpha):
-    """``embed_invisible`` for a conforming cover and a ``split_watermark`` result."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    a_wa, v_w = split
-    payload, quant = quantize(a_wa)
-    masked = xor_mask(payload, derive_mask(identity, *cover.shape))
-    return _embed_payload(
-        cover, masked.astype(np.float64), v_w, alpha, SchemeTag.HASH_CODE, quant
-    )
+def _embed_planes(planes, watermark, scheme, alpha, identity):
+    """Either scheme's embed of one watermark into same-shaped cover planes.
+
+    The one place that decides between the schemes: the keyed scheme takes
+    an identity and a non-zero alpha, and its masked payload is built once
+    and shared by every plane.  Returns ``(marked_planes, side_infos)``.
+    """
+    scheme = SchemeTag(scheme)
+    w = as_matrix(watermark, "watermark")
+    if w.shape != planes[0].shape:
+        raise DimensionError(f"watermark {w.shape} does not match cover {planes[0].shape}")
+    keyed = scheme is SchemeTag.HASH_CODE
+    if keyed != (identity is not None):
+        need = "requires an" if keyed else "takes no"
+        raise InvalidKey(f"{scheme.value} embedding {need} identity")
+    if keyed and float(alpha) == 0:
+        raise InvalidParameter("hash-code embedding needs a non-zero alpha")
+    payload, v_w = split_watermark(w)
+    quant = None
+    if keyed:
+        payload, quant = quantize(payload)
+        payload = xor_mask(payload, derive_mask(identity, *w.shape)).astype(np.float64)
+    return tuple(zip(*(_embed_payload(p, payload, v_w, alpha, scheme, quant) for p in planes)))
+
+
+def _extract_plane(marked, info, identity):
+    """Either scheme's extract: the keyed path runs when ``identity`` is given."""
+    if identity is not None:
+        return extract_invisible(marked, info, identity)
+    if info.scheme is SchemeTag.HASH_CODE:
+        raise InvalidKey("hash-code extraction requires an identity")
+    return semiblind.extract(marked, info)
 
 
 def recover_masked_bytes(marked, info):
@@ -73,7 +95,7 @@ def recover_masked_bytes(marked, info):
     0..255 so that small float residue cannot corrupt the XOR layer.  In
     the float pipeline the result equals the embedded bytes exactly.
     """
-    _require_hash_info(info)
+    _require_scheme(info, SchemeTag.HASH_CODE)
     masked_real = recover_principal_components(marked, info)
     return np.clip(np.rint(masked_real), 0, 255).astype(np.uint8)
 
@@ -99,8 +121,3 @@ def verify_invisible(marked, info, identity, claimed, threshold=DEFAULT_THRESHOL
     nc = normalized_correlation(w_star, as_matrix(claimed, "claimed"))
     decision = Verdict.VERIFIED if nc >= threshold else Verdict.REJECTED
     return VerificationReport(nc_score=nc, decision=decision, threshold=threshold)
-
-
-def _require_hash_info(info):
-    if info.scheme is not SchemeTag.HASH_CODE:
-        raise MalformedSideInfo(f"expected hash-code side info, got {info.scheme.value}")

@@ -59,7 +59,7 @@ class SideInfo(SvdFactors):
             raise InvalidInput("v_w is not orthogonal")
         self.alpha = float(alpha)
         if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise InvalidParameter(f"alpha must be a non-negative real, got {self.alpha}")
+            raise InvalidParameter(f"alpha must be finite and non-negative, got {self.alpha}")
         if self.scheme is SchemeTag.HASH_CODE and quant is None:
             raise MalformedSideInfo("hash-code side info requires quantization params")
         if self.scheme is SchemeTag.SEMI_BLIND and quant is not None:
@@ -93,7 +93,7 @@ def _conforming_pair(cover, watermark):
 def _mark(u, sigma, v, payload, alpha):
     """The scheme's forward algebra on precomputed cover factors,
     ``U (S + alpha payload) V^T``; a marked image that overflows is
-    rejected here, before any side info is built for it."""
+    rejected here."""
     t = alpha * payload
     t[np.diag_indices(sigma.size)] += sigma
     return as_matrix(u @ t @ v.T, "marked")
@@ -116,26 +116,19 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     info that extraction refuses (useful only in tests).
     """
     cover, watermark = _conforming_pair(cover, watermark)
-    return _embed_split(cover, split_watermark(watermark), alpha)
-
-
-def _embed_split(cover, split, alpha):
-    """``embed`` for a conforming cover and a ``split_watermark`` result."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0:
-        raise InvalidParameter(f"alpha must be finite and non-negative, got {alpha}")
-    a_wa, v_w = split
-    return _embed_payload(cover, a_wa, v_w, alpha, SchemeTag.SEMI_BLIND)
+    return _embed_payload(cover, *split_watermark(watermark), alpha, SchemeTag.SEMI_BLIND)
 
 
 def _embed_payload(cover, payload, v_w, alpha, scheme, quant=None):
-    """Both schemes' embed core: mark ``cover`` with a prepared payload."""
+    """Both schemes' embed core: mark ``cover`` with a prepared payload.
+    The side info is built first, so its alpha check runs before marking."""
     f = svd(cover)
-    marked = _mark(f.u, f.sigma, f.v, payload, alpha)
+    info = SideInfo(f.u, f.sigma, f.v, v_w, alpha, *cover.shape, scheme, quant)
+    marked = _mark(f.u, f.sigma, f.v, payload, info.alpha)
     with np.errstate(over="ignore"):
         if np.mean((marked - cover) ** 2) == math.inf:
-            raise InvalidParameter(f"alpha {alpha} overflows the marked image's PSNR")
-    return marked, SideInfo(f.u, f.sigma, f.v, v_w, alpha, *cover.shape, scheme, quant)
+            raise InvalidParameter(f"alpha {info.alpha} overflows the marked image's PSNR")
+    return marked, info
 
 
 def recover_principal_components(marked, info):
@@ -158,10 +151,14 @@ def recover_principal_components(marked, info):
 
 def extract(marked, info):
     """Recover the watermark from a (possibly distorted) marked image."""
-    if info.scheme is not SchemeTag.SEMI_BLIND:
-        raise MalformedSideInfo(f"expected semi-blind side info, got {info.scheme.value}")
+    _require_scheme(info, SchemeTag.SEMI_BLIND)
     a_wa_star = recover_principal_components(marked, info)
     return a_wa_star @ info.v_w.T
+
+
+def _require_scheme(info, scheme):
+    if info.scheme is not scheme:
+        raise MalformedSideInfo(f"expected {scheme.value} side info, got {info.scheme.value}")
 
 
 def detect_reference(a_wa_star, v_ref):

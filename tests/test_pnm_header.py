@@ -7,10 +7,13 @@ taking the file's bytes instead of its path.  On generated headers
 raster separators, truncated rasters) ``read_pgm`` and ``read_ppm`` must
 accept exactly what it accepts, return the same raster, and reject the
 rest with the same error class.  The header regex must also stay linear:
-long comments and runs of separators cost one pass.
+long comments and runs of separators cost one pass.  Unlike the old
+reader it caps the comment lines before one field at 4096, which keeps
+its memory bounded.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +227,29 @@ def test_long_malformed_header_is_rejected_fast(tmp, filler):
     with pytest.raises(CodecError):
         sm.read_pgm(str(path))
     assert time.perf_counter() - start < 0.25
+
+
+def test_many_comment_lines_are_rejected_in_bounded_memory(tmp):
+    # A 1 MB header of 512 K comment lines: the regex keeps state for each
+    # repeat of its comment group, so the repeat is capped.
+    path = tmp / "comments.pgm"
+    path.write_bytes(b"P5\n" + b"#\n" * (512 << 10) + b"2 2\n255\n" + bytes(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError):
+            sm.read_pgm(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_comment_lines_are_capped_at_4096_per_field(tmp):
+    path = tmp / "comments.pgm"
+    comments = b"# c\n" * 4096
+    path.write_bytes(b"P5\n" + comments + b"2\n" + comments + b"2\n" + comments + b"255\n"
+                     + bytes([1, 2, 3, 4]))
+    np.testing.assert_array_equal(sm.read_pgm(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_bytes(b"P5\n#\n" + comments + b"2 2 255\n" + bytes(4))
+    with pytest.raises(CodecError):
+        sm.read_pgm(str(path))
