@@ -8,7 +8,9 @@ and attempt reference detection with both the true watermark and the
 unrelated image.  Finishes with the keyed scheme: embed with an id,
 extract, verify with the right and a wrong id, embed and extract on each
 channel of a colour (PPM) cover, and a short robustness sweep.  Any
-command that fails, or succeeds but writes to stderr, stops the demo.
+command that fails, or succeeds but writes to stderr, stops the demo, as
+does a deliberately bad command line (an option its subcommand does not
+take) that is not refused with exactly one usage error.
 
     python scripts/demo_workflow.py [output-dir]
 """
@@ -32,6 +34,17 @@ def cli(*argv):
         print(proc.stderr, end="", file=sys.stderr)
         raise SystemExit(f"command exited with code {proc.returncode}")
     return proc
+
+
+def cli_usage_error(*argv):
+    """Run a command that must fail as bad usage: exit 1, one stderr line."""
+    proc = subprocess.run([sys.executable, "-m", "svdmark.cli", *argv],
+                          capture_output=True, text=True)
+    print(f"$ svdmark {' '.join(argv)}")
+    print(proc.stderr, end="")
+    lines = proc.stderr.splitlines()
+    if proc.returncode != 1 or len(lines) != 1 or not lines[0].startswith("error: usage:"):
+        raise SystemExit(f"expected one usage error, got code {proc.returncode}")
 
 
 def main():
@@ -59,6 +72,8 @@ def main():
     # also store an 8-bit rendition for viewing
     sm.write_pgm(sm.read_float_image(p["marked.svdf"]), p["marked.pgm"])
     cli("metrics", "--a", p["cover.pgm"], "--b", p["marked.svdf"])
+    print("metrics takes no embedding strength, so --alpha is refused:")
+    cli_usage_error("metrics", "--a", p["cover.pgm"], "--b", p["marked.svdf"], "--alpha", "0.1")
     cli("extract", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--out", p["extracted.pgm"])
     cli("metrics", "--a", p["watermark.pgm"], "--b", p["extracted.pgm"])
@@ -91,7 +106,7 @@ def main():
     # The PPM carrier rounds to 8 bits, which the keyed bytes do not survive
     # at this alpha; this part shows the colour commands, not a recovery.
     cli("extract-hash", "--marked", p["marked_keyed.ppm"], "--key", p["key_keyed_ppm.svdk"],
-        "--id", "alice|8f3a9c", "--out", p["extracted_ppm.svdf"])
+        "--strategy", "perchannel", "--id", "alice|8f3a9c", "--out", p["extracted_ppm.svdf"])
 
     print("\n-- robustness sweep --")
     cli("sweep", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],

@@ -9,7 +9,7 @@ keeps wrong-key scores concentrated near zero.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -87,9 +87,18 @@ class AttackKind(str, Enum):
     RESCALE = "rescale"
 
 
+# The parameters each attack kind reads, in AttackSpec field order.
+_ATTACK_PARAMS = {
+    AttackKind.GAUSSIAN_NOISE: ("sigma", "seed"),
+    AttackKind.QUANTIZE_8BIT: (),
+    AttackKind.CROP: ("rect",),
+    AttackKind.RESCALE: ("scale",),
+}
+
+
 @dataclass(frozen=True)
 class AttackSpec:
-    """One attack with its parameters; stochastic kinds require a seed."""
+    """One attack with exactly the parameters its kind reads (a seed, if stochastic)."""
 
     kind: AttackKind
     sigma: float | None = None
@@ -99,20 +108,24 @@ class AttackSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AttackKind(self.kind))
+        wanted = _ATTACK_PARAMS[self.kind]
+        given = tuple(f.name for f in fields(self)[1:] if getattr(self, f.name) is not None)
+        if given != wanted:
+            takes = " and ".join(wanted) or "no parameters"
+            raise InvalidParameter(f"{self.kind.value} takes {takes}, "
+                                   f"got {', '.join(given) or 'none'}")
         if self.kind is AttackKind.GAUSSIAN_NOISE:
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma < 0:
+            if not np.isfinite(self.sigma) or self.sigma < 0:
                 raise InvalidParameter("gaussian-noise needs sigma >= 0")
-            if self.seed is None:
-                raise InvalidParameter("gaussian-noise needs an explicit seed")
         elif self.kind is AttackKind.CROP:
-            if self.rect is None or len(self.rect) != 4:
+            if len(self.rect) != 4:
                 raise InvalidParameter("crop needs rect = (row0, col0, height, width)")
             object.__setattr__(self, "rect", tuple(int(x) for x in self.rect))
             r0, c0, h, w = self.rect
             if r0 < 0 or c0 < 0 or h < 1 or w < 1:
                 raise InvalidParameter(f"invalid crop rect {self.rect}")
         elif self.kind is AttackKind.RESCALE:
-            if self.scale is None or not 0.0 < self.scale <= 1.0:
+            if not 0.0 < self.scale <= 1.0:
                 raise InvalidParameter("rescale needs scale in (0, 1]")
 
     def params_label(self):

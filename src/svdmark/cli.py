@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, color, formats, invisible, semiblind
-from .analysis import AttackKind, AttackSpec, _fixed6
+from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
 from .errors import WatermarkError
 from .hashstream import Identity
 from .matrix import svd
@@ -29,36 +29,37 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Options are spelled in full, so an option a subcommand lacks cannot
+    # pass as a longer one (sweep --alpha for --alphas).
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on bad usage; the CLI contract wants 1.
     def error(self, message):
         raise _UsageError(message)
 
 
 def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                        help="embedding strength (default %(default)s)")
-    common.add_argument("--strategy", choices=[s.value for s in color.ChannelStrategy],
-                        default=color.ChannelStrategy.BLUE_CHANNEL.value,
-                        help="channel strategy for color images (default %(default)s)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="default seed for stochastic attacks "
-                             "(SVDMARK_SEED overrides)")
-
     parser = _Parser(prog="svdmark", description="SVD-based image watermarking toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     for scheme, suffix, kind in ((SchemeTag.SEMI_BLIND, "", "semi-blind"),
                                  (SchemeTag.HASH_CODE, "-hash", "keyed invisible")):
-        embed = sub.add_parser("embed" + suffix, parents=[common], help=f"{kind} embed")
+        embed = sub.add_parser("embed" + suffix, help=f"{kind} embed")
         embed.add_argument("--cover", required=True)
         embed.add_argument("--watermark", required=True)
-        extract = sub.add_parser("extract" + suffix, parents=[common], help=f"{kind} extract")
+        embed.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                           help="embedding strength (default %(default)s)")
+        extract = sub.add_parser("extract" + suffix, help=f"{kind} extract")
         extract.add_argument("--marked", required=True)
         extract.add_argument("--key", required=True)
-        for p, run in ((embed, _cmd_embed), (extract, _cmd_extract)):
+        for p, run, use in ((embed, _cmd_embed, "to embed with (default blue)"),
+                            (extract, _cmd_extract, "the key must have (default: the key's)")):
             if scheme is SchemeTag.HASH_CODE:
-                p.add_argument("--id", required=True, dest="identity")
+                p.add_argument("--id", required=True, dest="identity",
+                               type=Identity.from_string)
+            p.add_argument("--strategy", choices=[s.value for s in color.ChannelStrategy],
+                           help=f"colour images only: the channel strategy {use}")
             p.add_argument("--out", required=True)
             p.set_defaults(run=run, identity=None)
         embed.set_defaults(scheme=scheme)
@@ -66,16 +67,15 @@ def _build_parser():
         embed.add_argument("--resize-watermark", action="store_true",
                            help="nearest-neighbor resize the watermark to the cover size")
 
-    p = sub.add_parser("verify-hash", parents=[common],
-                       help="extract with an id and compare to a claimed watermark")
+    p = sub.add_parser("verify-hash", help="extract with an id and compare to a claimed watermark")
     p.add_argument("--marked", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--id", required=True, dest="identity")
+    p.add_argument("--id", required=True, dest="identity", type=Identity.from_string)
     p.add_argument("--claimed", required=True)
     p.add_argument("--threshold", type=float, default=invisible.DEFAULT_THRESHOLD)
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("detect-reference", parents=[common],
+    p = sub.add_parser("detect-reference",
                        help="project recovered components onto a reference basis")
     p.add_argument("--marked", required=True)
     p.add_argument("--key", required=True)
@@ -83,12 +83,13 @@ def _build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_detect_reference)
 
-    p = sub.add_parser("metrics", parents=[common], help="PSNR and correlation")
+    p = sub.add_parser("metrics", help="PSNR and correlation")
     p.add_argument("--a", required=True, dest="first")
     p.add_argument("--b", required=True, dest="second")
     p.set_defaults(run=_cmd_metrics)
 
-    p = sub.add_parser("attack", parents=[common], help="apply one attack to an image")
+    seed_help = "default seed for stochastic attacks (SVDMARK_SEED overrides)"
+    p = sub.add_parser("attack", help="apply one attack to an image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--kind", required=True, choices=[k.value for k in AttackKind])
@@ -96,9 +97,10 @@ def _build_parser():
     p.add_argument("--rect", type=int, nargs=4, default=None,
                    metavar=("ROW0", "COL0", "HEIGHT", "WIDTH"))
     p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.set_defaults(run=_cmd_attack)
 
-    p = sub.add_parser("sweep", parents=[common], help="robustness sweep to CSV")
+    p = sub.add_parser("sweep", help="robustness sweep to CSV")
     p.add_argument("--cover", required=True)
     p.add_argument("--watermark", required=True)
     p.add_argument("--alphas", required=True,
@@ -107,6 +109,7 @@ def _build_parser():
                    help="comma-separated attack specs, e.g. "
                         "'gaussian-noise:sigma=2:seed=7,quantize-8bit'")
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.set_defaults(run=_cmd_sweep)
 
     return parser
@@ -133,25 +136,29 @@ def _parse_attack(text, default_seed):
         key, _, value = part.partition("=")
         if not value:
             raise _UsageError(f"malformed attack parameter {part!r}")
+        if key not in ("sigma", "rect", "scale", "seed"):
+            raise _UsageError(f"unknown attack parameter {key!r} in {text!r}")
         fields[key] = value
     try:
         if kind is AttackKind.CROP and "rect" in fields:
-            rect = tuple(int(x) for x in fields.pop("rect").split(";"))
-            fields["rect"] = rect
-        for name in ("sigma", "scale"):
+            fields["rect"] = tuple(int(x) for x in fields["rect"].split(";"))
+        for name, parse in (("sigma", float), ("scale", float), ("seed", int)):
             if name in fields:
-                fields[name] = float(fields[name])
-        if "seed" in fields:
-            fields["seed"] = int(fields["seed"])
-        elif default_seed is not None:
-            fields["seed"] = default_seed
+                fields[name] = parse(fields[name])
     except ValueError as exc:
         raise _UsageError(f"malformed attack spec {text!r}: {exc}")
+    if "seed" in _ATTACK_PARAMS[kind]:
+        fields.setdefault("seed", default_seed)
     return AttackSpec(kind=kind, **fields)
 
 
-def _is_color(path):
-    return os.path.splitext(path)[1].lower() == ".ppm"
+def _is_color(path, strategy):
+    """Whether ``path`` names a colour (PPM) image; only those take --strategy."""
+    if os.path.splitext(path)[1].lower() == ".ppm":
+        return True
+    if strategy is not None:
+        raise _UsageError("--strategy applies only to colour (.ppm) images")
+    return False
 
 
 def _load_watermark(path, rows, cols, resize):
@@ -162,12 +169,12 @@ def _load_watermark(path, rows, cols, resize):
 
 
 def _cmd_embed(args):
-    identity = None if args.identity is None else Identity.from_string(args.identity)
-    if _is_color(args.cover):
+    if _is_color(args.cover, args.strategy):
         img = formats.read_ppm(args.cover)
         w = _load_watermark(args.watermark, img.rows, img.cols, args.resize_watermark)
         marked, bundle = color.embed_color(
-            img, w, args.strategy, args.scheme, alpha=args.alpha, identity=identity
+            img, w, args.strategy or color.ChannelStrategy.BLUE_CHANNEL, args.scheme,
+            alpha=args.alpha, identity=args.identity
         )
         formats.write_ppm(marked, args.out)
         formats.save_bundle(bundle, args.key)
@@ -175,7 +182,7 @@ def _cmd_embed(args):
         cover = formats.load_matrix(args.cover)
         w = _load_watermark(args.watermark, *cover.shape, args.resize_watermark)
         (marked,), (info,) = invisible._embed_planes([cover], w, args.scheme, args.alpha,
-                                                     identity)
+                                                     args.identity)
         formats.save_matrix(marked, args.out)
         formats.save_sideinfo(info, args.key)
     print(f"marked={args.out} key={args.key}")
@@ -183,14 +190,14 @@ def _cmd_embed(args):
 
 
 def _cmd_extract(args):
-    identity = None if args.identity is None else Identity.from_string(args.identity)
-    if _is_color(args.marked):
+    if _is_color(args.marked, args.strategy):
         bundle = formats.load_bundle(args.key)
         img = formats.read_ppm(args.marked)
-        w_star = color.extract_color(img, bundle, bundle.strategy, identity=identity)
+        w_star = color.extract_color(img, bundle, args.strategy or bundle.strategy,
+                                     identity=args.identity)
     else:
         info = formats.load_sideinfo(args.key)
-        w_star = invisible._extract_plane(formats.load_matrix(args.marked), info, identity)
+        w_star = invisible._extract_plane(formats.load_matrix(args.marked), info, args.identity)
     formats.save_matrix(w_star, args.out)
     print(f"extracted={args.out}")
     return EXIT_OK
@@ -200,9 +207,7 @@ def _cmd_verify(args):
     info = formats.load_sideinfo(args.key)
     marked = formats.load_matrix(args.marked)
     claimed = formats.load_matrix(args.claimed)
-    report = invisible.verify_invisible(
-        marked, info, Identity.from_string(args.identity), claimed, args.threshold
-    )
+    report = invisible.verify_invisible(marked, info, args.identity, claimed, args.threshold)
     print(f"nc={_fixed6(report.nc_score)} threshold={report.threshold:.6f} "
           f"decision={report.decision.value}")
     return EXIT_OK if report.decision is invisible.Verdict.VERIFIED else EXIT_REJECTED
@@ -231,12 +236,14 @@ def _cmd_metrics(args):
 
 
 def _cmd_attack(args):
+    kind = AttackKind(args.kind)
+    seed = _resolve_seed(args.seed)
     spec = AttackSpec(
-        kind=AttackKind(args.kind),
+        kind=kind,
         sigma=args.sigma,
         rect=tuple(args.rect) if args.rect else None,
         scale=args.scale,
-        seed=_resolve_seed(args.seed),
+        seed=seed if "seed" in _ATTACK_PARAMS[kind] else None,
     )
     formats.save_matrix(analysis.apply_attack(formats.load_matrix(args.input), spec),
                         args.output)

@@ -146,6 +146,36 @@ class TestAttacks:
             sm.AttackSpec(kind=sm.AttackKind.RESCALE, scale=1.5)
 
 
+# Each kind with exactly the parameters it reads.
+ATTACK_PARAMS = {
+    sm.AttackKind.GAUSSIAN_NOISE: {"sigma": 2.0, "seed": 7},
+    sm.AttackKind.QUANTIZE_8BIT: {},
+    sm.AttackKind.CROP: {"rect": (1, 1, 2, 2)},
+    sm.AttackKind.RESCALE: {"scale": 0.5},
+}
+ANY_PARAMS = {"sigma": 2.0, "seed": 7, "rect": (1, 1, 2, 2), "scale": 0.5}
+
+
+class TestAttackParameters:
+    @pytest.mark.parametrize("kind", list(sm.AttackKind))
+    def test_own_parameters_accepted(self, kind):
+        spec = sm.AttackSpec(kind=kind, **ATTACK_PARAMS[kind])
+        assert spec.kind is kind
+
+    @pytest.mark.parametrize("kind, extra", [(k, e) for k in sm.AttackKind
+                                             for e in ANY_PARAMS if e not in ATTACK_PARAMS[k]])
+    def test_parameter_the_kind_does_not_read(self, kind, extra):
+        with pytest.raises(InvalidParameter, match=f"{kind.value} takes .*got .*{extra}"):
+            sm.AttackSpec(kind=kind, **ATTACK_PARAMS[kind], **{extra: ANY_PARAMS[extra]})
+
+    @pytest.mark.parametrize("kind", [k for k in sm.AttackKind if ATTACK_PARAMS[k]])
+    def test_each_own_parameter_is_required(self, kind):
+        for missing in ATTACK_PARAMS[kind]:
+            params = {k: v for k, v in ATTACK_PARAMS[kind].items() if k != missing}
+            with pytest.raises(InvalidParameter, match=f"{kind.value} takes"):
+                sm.AttackSpec(kind=kind, **params)
+
+
 class TestResize:
     def test_nearest_identity(self):
         a = seeded_matrix(15, 6, 6)

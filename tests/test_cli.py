@@ -381,3 +381,131 @@ def test_metrics_prints_a_tiny_negative_correlation_unsigned(tmp_path, capsys):
                                              sm.read_float_image(b)) < 0
     assert run(["metrics", "--a", a, "--b", b]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "nc=0.000000"
+
+
+# Each subcommand's required flags, and which of --alpha, --strategy and
+# --seed it reads; the other pairs are usage errors.
+MINIMAL_ARGV = {
+    "embed": ["--cover", "c.pgm", "--watermark", "w.pgm", "--out", "m.svdf",
+              "--key", "k.svdk"],
+    "extract": ["--marked", "m.svdf", "--key", "k.svdk", "--out", "w.svdf"],
+    "verify-hash": ["--marked", "m.svdf", "--key", "k.svdk", "--id", "a",
+                    "--claimed", "w.pgm"],
+    "detect-reference": ["--marked", "m.svdf", "--key", "k.svdk", "--reference", "r.pgm"],
+    "metrics": ["--a", "a.pgm", "--b", "b.pgm"],
+    "attack": ["--input", "a.pgm", "--output", "b.svdf", "--kind", "quantize-8bit"],
+    "sweep": ["--cover", "c.pgm", "--watermark", "w.pgm", "--alphas", "0.1",
+              "--attacks", "quantize-8bit", "--out", "r.csv"],
+}
+MINIMAL_ARGV["embed-hash"] = MINIMAL_ARGV["embed"] + ["--id", "a"]
+MINIMAL_ARGV["extract-hash"] = MINIMAL_ARGV["extract"] + ["--id", "a"]
+OPTIONS = {"--alpha": "0.1", "--strategy": "blue", "--seed": "1"}
+READS = {
+    "--alpha": {"embed", "embed-hash"},
+    "--strategy": {"embed", "embed-hash", "extract", "extract-hash"},
+    "--seed": {"attack", "sweep"},
+}
+# 19 of the 27 (subcommand, option) pairs.
+UNREAD = [(c, o) for o in OPTIONS for c in MINIMAL_ARGV if c not in READS[o]]
+
+
+@pytest.mark.parametrize("command, option", UNREAD)
+def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, command, option):
+    assert run([command, *MINIMAL_ARGV[command], option, OPTIONS[option]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: usage: unrecognized arguments: {option}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["embed-hash", "extract-hash", "verify-hash"])
+def test_non_utf8_id_is_one_usage_line(tmp_path, command):
+    # Run in a subprocess, since pytest would capture a traceback in-process.
+    argv = MINIMAL_ARGV[command].copy()
+    argv[argv.index("--id") + 1] = b"\xff"
+    proc = subprocess.run([sys.executable, "-m", "svdmark.cli", command, *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: usage: argument --id:"), lines
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.0"])
+@pytest.mark.parametrize("cover_ext", ["pgm", "ppm"])
+def test_embed_alpha_zero_writes_no_key(scene, tmp_path, capsys, alpha, cover_ext):
+    _, _, p = scene
+    cover = p["cover"]
+    if cover_ext == "ppm":
+        cover = str(tmp_path / "cover.ppm")
+        sm.write_ppm(sm.synthetic_rgb(64, 64, seed=21), cover)
+    key = tmp_path / "alpha0.svdk"
+    assert run(["embed", "--cover", cover, "--watermark", p["wm"], "--alpha", alpha,
+                "--out", str(tmp_path / f"m.{cover_ext}"), "--key", str(key)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: InvalidParameter: stored alpha must be positive, got 0"]
+    assert not key.exists()
+
+
+@pytest.mark.parametrize("spec, field", [
+    ("quantize-8bit:foo=1", "foo"),
+    ("gaussian-noise:sigma=1:seed=2:kind=crop", "kind"),
+    ("crop:rect=1;1;2;2:Rect=1;1;2;2", "Rect"),
+])
+def test_sweep_unknown_attack_field_is_one_usage_line(scene, tmp_path, capsys, spec, field):
+    _, _, p = scene
+    assert run(["sweep", "--cover", p["cover"], "--watermark", p["wm"], "--alphas", "0.1",
+                "--attacks", spec, "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: usage: unknown attack parameter {field!r}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "quantize-8bit:sigma=3", "rescale:scale=0.5:seed=4", "crop:rect=1;1;2;2:scale=0.5",
+    "gaussian-noise:sigma=1:seed=2:rect=1;1;2;2", "rescale:rect=1;1;2;2",
+])
+def test_sweep_attack_parameter_its_kind_does_not_read(scene, tmp_path, capsys, spec):
+    _, _, p = scene
+    out = tmp_path / "r.csv"
+    assert run(["sweep", "--cover", p["cover"], "--watermark", p["wm"], "--alphas", "0.1",
+                "--attacks", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidParameter:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--sigma", "3"], ["--scale", "0.2"],
+                                   ["--rect", "1", "1", "2", "2"]])
+def test_attack_flag_its_kind_does_not_read(scene, tmp_path, capsys, extra):
+    _, _, p = scene
+    assert run(["attack", "--input", p["cover"], "--output", str(tmp_path / "x.svdf"),
+                "--kind", "quantize-8bit", *extra]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: InvalidParameter: quantize-8bit takes no parameters")
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_default_seed_fills_only_stochastic_attacks(scene, tmp_path, monkeypatch, via_env):
+    _, _, p = scene
+    if via_env:
+        monkeypatch.setenv("SVDMARK_SEED", "5")
+    out = tmp_path / "r.csv"
+    assert run(["sweep", "--cover", p["cover"], "--watermark", p["wm"], "--alphas", "0.1",
+                "--attacks", "quantize-8bit,crop:rect=1;1;2;2,rescale:scale=0.5,"
+                             "gaussian-noise:sigma=1,gaussian-noise:sigma=1:seed=9",
+                "--seed", "8", "--out", str(out)]) == 0
+    seeds = [line.split(",")[3] for line in out.read_text().splitlines()[1:]]
+    assert seeds == ["", "", "", "5" if via_env else "8", "9"]
+    attacked = tmp_path / "q.svdf"
+    assert run(["attack", "--input", p["cover"], "--output", str(attacked),
+                "--kind", "quantize-8bit", "--seed", "8"]) == 0
+    assert np.array_equal(sm.read_float_image(str(attacked)), sm.read_pgm(p["cover"]))
+
+
+def test_abbreviated_option_is_a_usage_error(scene, capsys):
+    _, _, p = scene
+    assert run(["metrics", "--a", p["cover"], "--b", p["cover"]]) == 0
+    capsys.readouterr()
+    assert run(["embed", "--cov", p["cover"], "--watermark", p["wm"],
+                "--out", p["marked"], "--key", p["key"]]) == 1
+    assert capsys.readouterr().err.startswith("error: usage:")

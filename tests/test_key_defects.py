@@ -6,6 +6,8 @@ record, ``"quant": null`` included) and leave every other invariant to
 ``SideInfo`` and ``QuantParams``.  Each defect below must raise the same
 class through ``load_sideinfo``, and through ``load_bundle`` when it
 sits in one of a bundle's records, for SVDK and version-1 JSON keys.
+The writers refuse an alpha of 0 with the loaders' error, so no key is
+written that no loader takes back.
 """
 
 import json
@@ -126,3 +128,19 @@ def test_unmutated_keys_load(tmp_path, infos):
         path = tmp_path / "bundle.svdk"
         _write_bundle(path, info, lambda record: None)
         assert sm.load_bundle(str(path)).infos[0].scheme is info.scheme
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0])
+def test_alpha_zero_is_not_written(tmp_path, alpha):
+    # In memory, alpha 0 embeds the cover unchanged; no key may hold it,
+    # since no loader would take the key back.
+    cover, wm = seeded_matrix(1, ROWS, COLS), seeded_matrix(2, ROWS, COLS)
+    _, info = sm.embed(cover, wm, alpha)
+    _, bundle = sm.embed_color(sm.synthetic_rgb(ROWS, COLS, seed=3), wm,
+                               sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.SEMI_BLIND, alpha)
+    path = tmp_path / "key.svdk"
+    with pytest.raises(InvalidParameter, match="stored alpha must be positive"):
+        sm.save_sideinfo(info, str(path))
+    with pytest.raises(InvalidParameter, match="stored alpha must be positive"):
+        sm.save_bundle(bundle, str(path))
+    assert not path.exists()

@@ -91,6 +91,55 @@ class TestCliSchemeMismatch:
         _one_error(err, "InvalidKey")
 
 
+COLOURS = CARRIERS[2:]
+
+
+class TestCliStrategy:
+    """``--strategy`` picks a colour embed's planes and is checked against
+    the key on a colour extract; a grayscale carrier takes none."""
+
+    @staticmethod
+    def _extract_argv(p, command):
+        scheme = "semi" if command == "extract" else "hash"
+        ident = ["--id", ID] if command == "extract-hash" else []
+        return [command, "--marked", p[scheme], "--key", p[f"{scheme}_key"], *ident]
+
+    @pytest.mark.parametrize("command", ["extract", "extract-hash"])
+    @pytest.mark.parametrize("carrier", COLOURS)
+    def test_extract_strategy_must_match_the_key(self, files, capsys, tmp_path,
+                                                 command, carrier):
+        p = files(carrier)
+        capsys.readouterr()
+        argv = self._extract_argv(p, command)
+        for other in COLOURS:
+            if other != carrier:
+                rc, out, err = _cli(capsys, *argv, "--strategy", other, "--out", p["out"])
+                assert (rc, out) == (1, "")
+                _one_error(err, "MalformedSideInfo")
+        own = str(tmp_path / "own.svdf")
+        assert cli_main([*argv, "--out", p["out"]]) == 0
+        assert cli_main([*argv, "--strategy", carrier, "--out", own]) == 0
+        assert open(own, "rb").read() == open(p["out"], "rb").read()
+
+    @pytest.mark.parametrize("command", ["embed", "embed-hash", "extract", "extract-hash"])
+    @pytest.mark.parametrize("carrier", ["pgm", "svdf"])
+    def test_grayscale_carrier_takes_no_strategy(self, files, capsys, tmp_path,
+                                                 command, carrier):
+        p = files(carrier)
+        capsys.readouterr()
+        out = tmp_path / "out.svdf"
+        if command.startswith("embed"):
+            argv = [command, "--cover", p["semi"], "--watermark", p["wm"],
+                    "--key", str(tmp_path / "k.svdk")]
+            argv += ["--id", ID] if command == "embed-hash" else []
+        else:
+            argv = self._extract_argv(p, command)
+        rc, stdout, err = _cli(capsys, *argv, "--strategy", "blue", "--out", str(out))
+        assert (rc, stdout) == (1, "")
+        _one_error(err, "usage")
+        assert not out.exists()
+
+
 def test_perchannel_keyed_embed_masks_once(monkeypatch, identity):
     calls = []
     for name in ("derive_mask", "quantize"):
