@@ -9,8 +9,10 @@ unrelated image.  Finishes with the keyed scheme: embed with an id,
 extract, verify with the right and a wrong id, embed and extract on each
 channel of a colour (PPM) cover, and a short robustness sweep.  Any
 command that fails, or succeeds but writes to stderr, stops the demo, as
-does a deliberately bad command line (an option its subcommand does not
-take) that is not refused with exactly one usage error.
+does a deliberately bad command that is not refused with exactly its one
+expected error line: an option its subcommand does not take, an image
+passed as the key, and an embed whose key cannot be written, which must
+also leave no marked image behind.
 
     python scripts/demo_workflow.py [output-dir]
 """
@@ -36,15 +38,16 @@ def cli(*argv):
     return proc
 
 
-def cli_usage_error(*argv):
-    """Run a command that must fail as bad usage: exit 1, one stderr line."""
+def cli_error(expected, *argv):
+    """Run a command that must fail: exit 1 and one stderr line that
+    starts with ``expected``."""
     proc = subprocess.run([sys.executable, "-m", "svdmark.cli", *argv],
                           capture_output=True, text=True)
     print(f"$ svdmark {' '.join(argv)}")
     print(proc.stderr, end="")
     lines = proc.stderr.splitlines()
-    if proc.returncode != 1 or len(lines) != 1 or not lines[0].startswith("error: usage:"):
-        raise SystemExit(f"expected one usage error, got code {proc.returncode}")
+    if proc.returncode != 1 or len(lines) != 1 or not lines[0].startswith(expected):
+        raise SystemExit(f"expected one {expected!r} line, got code {proc.returncode}")
 
 
 def main():
@@ -53,6 +56,7 @@ def main():
     p = {name: str(out_dir / name) for name in (
         "cover.pgm", "watermark.pgm", "reference.pgm",
         "marked.svdf", "marked.pgm", "key.svdk", "extracted.pgm",
+        "marked0.svdf", "key0.svdk",
         "marked_keyed.svdf", "key_keyed.svdk", "extracted_keyed.svdf",
         "cover.ppm", "marked_keyed.ppm", "key_keyed_ppm.svdk", "extracted_ppm.svdf",
         "sweep.csv")}
@@ -73,10 +77,22 @@ def main():
     sm.write_pgm(sm.read_float_image(p["marked.svdf"]), p["marked.pgm"])
     cli("metrics", "--a", p["cover.pgm"], "--b", p["marked.svdf"])
     print("metrics takes no embedding strength, so --alpha is refused:")
-    cli_usage_error("metrics", "--a", p["cover.pgm"], "--b", p["marked.svdf"], "--alpha", "0.1")
+    cli_error("error: usage:",
+              "metrics", "--a", p["cover.pgm"], "--b", p["marked.svdf"], "--alpha", "0.1")
     cli("extract", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--out", p["extracted.pgm"])
     cli("metrics", "--a", p["watermark.pgm"], "--b", p["extracted.pgm"])
+    print("only SVDK files are keys, so an image passed as --key is refused:")
+    cli_error("error: CodecError: not an SVDK key file",
+              "extract", "--marked", p["marked.svdf"], "--key", p["cover.pgm"],
+              "--out", p["extracted.pgm"])
+    print("no key holds alpha 0, so this embed fails and leaves no marked image:")
+    cli_error("error: InvalidParameter",
+              "embed", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
+              "--alpha", "0", "--out", p["marked0.svdf"], "--key", p["key0.svdk"])
+    for name in ("marked0.svdf", "key0.svdk"):
+        if Path(p[name]).exists():
+            raise SystemExit(f"the failed embed left {name} behind")
     print("reference detection with the true watermark basis vs an unrelated image:")
     cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--reference", p["watermark.pgm"])

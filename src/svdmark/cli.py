@@ -172,19 +172,23 @@ def _cmd_embed(args):
     if _is_color(args.cover, args.strategy):
         img = formats.read_ppm(args.cover)
         w = _load_watermark(args.watermark, img.rows, img.cols, args.resize_watermark)
-        marked, bundle = color.embed_color(
+        marked, key = color.embed_color(
             img, w, args.strategy or color.ChannelStrategy.BLUE_CHANNEL, args.scheme,
             alpha=args.alpha, identity=args.identity
         )
-        formats.write_ppm(marked, args.out)
-        formats.save_bundle(bundle, args.key)
+        write_marked, write_key = formats.write_ppm, formats.save_bundle
     else:
         cover = formats.load_matrix(args.cover)
         w = _load_watermark(args.watermark, *cover.shape, args.resize_watermark)
-        (marked,), (info,) = invisible._embed_planes([cover], w, args.scheme, args.alpha,
-                                                     args.identity)
-        formats.save_matrix(marked, args.out)
-        formats.save_sideinfo(info, args.key)
+        (marked,), (key,) = invisible._embed_planes([cover], w, args.scheme, args.alpha,
+                                                    args.identity)
+        write_marked, write_key = formats.save_matrix, formats.save_sideinfo
+    write_marked(marked, args.out)
+    try:
+        write_key(key, args.key)
+    except BaseException:
+        os.unlink(args.out)  # a marked image without its key cannot be read back
+        raise
     print(f"marked={args.out} key={args.key}")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
 """File codecs: binary PGM/PPM, the lossless SVDF float container, and
-SVDK key files for side info (JSON keys of earlier releases still load).
+SVDK key files for side info.
 
 PGM/PPM are the interoperable 8-bit carriers; writing them rounds and
 clips, which counts as distortion for the extraction algebra.  SVDF and
@@ -8,8 +8,6 @@ Writers never leave partial files behind: output goes to a temp file in
 the target directory and is moved into place at the end.
 """
 
-import base64
-import binascii
 import json
 import os
 import re
@@ -37,7 +35,6 @@ SVDF_HEADER = struct.Struct("<4sHII")
 KEY_MAGIC = b"SVDK"
 KEY_VERSION = 2
 KEY_HEADER = struct.Struct("<4sHI")
-JSON_KEY_VERSION = 1  # base64 arrays in JSON, written by earlier releases
 
 _PNM_MAGICS = {b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"}
 
@@ -155,23 +152,12 @@ def write_float_image(m, path):
 
 class _KeyArrays:
     """A key's arrays, taken record by record in file order: views of an
-    SVDK key's raw little-endian float64 payload from ``offset`` on, or
-    (``data`` None) the base64 fields of a JSON key."""
+    SVDK key's raw little-endian float64 payload from ``offset`` on."""
 
-    def __init__(self, version, data=None, offset=0):
-        self.version, self.data, self.offset = version, data, offset
+    def __init__(self, data, offset):
+        self.data, self.offset = data, offset
 
-    def take(self, doc, field, count):
-        if self.data is None:
-            if field not in doc:
-                raise MalformedSideInfo(f"missing field {field!r}")
-            try:
-                raw = base64.b64decode(doc[field].encode("ascii"), validate=True)
-            except (binascii.Error, UnicodeEncodeError, AttributeError) as exc:
-                raise CodecError(f"corrupt base64 in {field}") from exc
-            if len(raw) != count * 8:
-                raise CodecError(f"{field} holds {len(raw)} bytes, expected {count * 8}")
-            return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    def take(self, field, count):
         end = self.offset + 8 * count
         if end > len(self.data):
             raise CodecError(f"key file ends inside {field}")
@@ -182,7 +168,7 @@ class _KeyArrays:
         return arr
 
     def finish(self):
-        if self.data is not None and self.offset != len(self.data):
+        if self.offset != len(self.data):
             raise CodecError(f"key file is {len(self.data)} bytes, not {self.offset}")
 
 
@@ -210,10 +196,10 @@ def _sideinfo_meta(info):
 
 def _sideinfo_from_doc(doc, arrays):
     """Check one key record and take its arrays: the ``SideInfo``
-    arguments, for keys of either version."""
+    arguments."""
     if not isinstance(doc, dict):
         raise MalformedSideInfo("key record must be a JSON object")
-    if doc.get("version") != arrays.version:
+    if doc.get("version") != KEY_VERSION:
         raise UnsupportedVersion(f"side info version {doc.get('version')} is not supported")
     try:
         scheme = SchemeTag(doc["scheme_tag"])
@@ -231,7 +217,7 @@ def _sideinfo_from_doc(doc, arrays):
     _stored_alpha(alpha)
     if rows < 1 or cols < 1:
         raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
-    if s_layout not in ("diag", "full"):
+    if s_layout != "diag":
         raise MalformedSideInfo(f"unknown s_layout {s_layout!r}")
     quant = None
     if scheme is SchemeTag.HASH_CODE:
@@ -244,15 +230,10 @@ def _sideinfo_from_doc(doc, arrays):
             raise MalformedSideInfo(f"missing or malformed quant block: {exc}") from exc
     elif "quant" in doc:
         raise MalformedSideInfo("semi-blind side info must not carry a quant block")
-    u = arrays.take(doc, "u", rows * rows).reshape(rows, rows)
-    if s_layout == "diag":
-        s = arrays.take(doc, "s_diag_or_full", min(rows, cols))
-    else:
-        # The dense S that earlier releases wrote for hash-code keys;
-        # SideInfo rejects any non-zero off-diagonal entry.
-        s = arrays.take(doc, "s_diag_or_full", rows * cols).reshape(rows, cols)
-    v = arrays.take(doc, "v", cols * cols).reshape(cols, cols)
-    v_w = arrays.take(doc, "v_w", cols * cols).reshape(cols, cols)
+    u = arrays.take("u", rows * rows).reshape(rows, rows)
+    s = arrays.take("s_diag_or_full", min(rows, cols))
+    v = arrays.take("v", cols * cols).reshape(cols, cols)
+    v_w = arrays.take("v_w", cols * cols).reshape(cols, cols)
     return dict(u=u, s=s, v=v, v_w=v_w, alpha=alpha, rows=rows, cols=cols,
                 scheme=scheme, quant=quant)
 
@@ -270,7 +251,7 @@ def _read_key(path):
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != KEY_MAGIC:
-        return _parse_json(data, "key file"), _KeyArrays(JSON_KEY_VERSION)
+        raise CodecError("not an SVDK key file")
     if len(data) < KEY_HEADER.size:
         raise CodecError("file too short for a key header")
     _, version, meta_len = KEY_HEADER.unpack_from(data)
@@ -279,18 +260,13 @@ def _read_key(path):
     start = KEY_HEADER.size + meta_len
     if start > len(data) or start % 8:
         raise CodecError(f"key payload offset {start} is unaligned or past the end")
-    meta = _parse_json(data[KEY_HEADER.size : start], "key metadata")
-    return meta, _KeyArrays(KEY_VERSION, data, start)
-
-
-def _parse_json(raw, what):
     try:
-        doc = json.loads(raw)
+        meta = json.loads(data[KEY_HEADER.size : start])
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise CodecError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedSideInfo(f"{what} root must be a JSON object")
-    return doc
+        raise CodecError(f"key metadata is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise MalformedSideInfo("key metadata root must be a JSON object")
+    return meta, _KeyArrays(data, start)
 
 
 def save_sideinfo(info, path):
@@ -321,7 +297,7 @@ def save_bundle(bundle, path):
 def load_bundle(path):
     """Load a color key bundle written by :func:`save_bundle`."""
     doc, arrays = _read_key(path)
-    if doc.get("version") != arrays.version:
+    if doc.get("version") != KEY_VERSION:
         raise UnsupportedVersion(f"bundle version {doc.get('version')} is not supported")
     if not isinstance(doc.get("infos"), list):
         raise MalformedSideInfo("not a color key bundle (no infos list)")

@@ -120,9 +120,9 @@ def _canonical_signs(u, v):
     # which settles ties at the lowest row index.
     paired = min(u.shape[1], v.shape[1])
     idx = np.argmax(np.abs(u), axis=0)
-    flip = u[idx, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    v[:, np.flatnonzero(flip[:paired])] *= -1.0
+    sign = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    u *= sign
+    v[:, :paired] *= sign[:paired]
     # Columns of v beyond the paired range multiply zero singular values;
     # canonicalize them with the same rule so the whole triple is unique.
     for j in range(paired, v.shape[1]):
@@ -146,4 +146,5 @@ def orthogonality_residual(m):
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"orthogonality residual needs a square matrix, got {m.shape}")
     gram = m.T @ m
-    return float(np.linalg.norm(gram - np.eye(m.shape[0])))
+    gram.flat[:: m.shape[0] + 1] -= 1.0  # gram - I, without building I
+    return float(np.linalg.norm(gram))

@@ -2,19 +2,12 @@
 
 ``key_parts``/``write_key_parts`` take an SVDK key apart and put it back
 together, spelling out the container layout independently of
-``svdmark.formats``.  ``write_v1_key`` is a frozen copy of the JSON+base64
-writer of earlier releases, kept so tests can check that the keys users
-already hold still load.
+``svdmark.formats``.
 """
 
-import base64
 import json
 import struct
 from pathlib import Path
-
-import numpy as np
-
-import svdmark as sm
 
 HEADER = struct.Struct("<4sHI")  # magic, u16 version, u32 metadata length
 
@@ -42,46 +35,14 @@ def rewrite_key_metadata(path, mutate):
     write_key_parts(path, meta, payload)
 
 
-def _v1_array(arr):
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _v1_doc(info, s_layout, s):
-    if s is None:
-        s = np.diagonal(info.s) if s_layout == "diag" else info.s
-    doc = {
-        "version": 1,
-        "scheme_tag": info.scheme.value,
-        "alpha": info.alpha,
-        "rows": info.rows,
-        "cols": info.cols,
-        "s_layout": s_layout,
-        "u": _v1_array(info.u),
-        "s_diag_or_full": _v1_array(s),
-        "v": _v1_array(info.v),
-        "v_w": _v1_array(info.v_w),
-    }
-    if info.quant is not None:
-        doc["quant"] = {
-            "lo": info.quant.lo,
-            "hi": info.quant.hi,
-            "degenerate": info.quant.degenerate,
-        }
-    return doc
-
-
-def write_v1_key(key, path, s_layout="diag", s=None):
-    """Write a ``SideInfo`` or ``SideInfoBundle`` as a version-1 JSON key.
-
-    ``s_layout="full"`` stores the dense M x N ``S`` (or ``s`` when given),
-    the layout earlier releases wrote for hash-code keys.
-    """
-    if isinstance(key, sm.SideInfoBundle):
-        doc = {
-            "version": 1,
-            "strategy": key.strategy.value,
-            "infos": [_v1_doc(info, s_layout, s) for info in key.infos],
-        }
-    else:
-        doc = _v1_doc(key, s_layout, s)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+# A 1 x 1 semi-blind record in the JSON layout of version-1 keys (base64
+# float64 arrays), which the loaders refuse: alone, and in a bundle.
+_V1_RECORD = {
+    "version": 1, "scheme_tag": "semi-blind", "alpha": 0.1, "rows": 1, "cols": 1,
+    "s_layout": "diag", "u": "AAAAAAAA8D8=", "s_diag_or_full": "AAAAAAAAAEA=",
+    "v": "AAAAAAAA8D8=", "v_w": "AAAAAAAA8D8=",
+}
+V1_KEYS = {
+    "single": json.dumps(_V1_RECORD),
+    "bundle": json.dumps({"version": 1, "strategy": "blue", "infos": [_V1_RECORD]}),
+}

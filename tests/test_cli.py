@@ -11,7 +11,7 @@ from svdmark.cli import cli_main
 
 import thresholds as th
 from conftest import make_cover, make_reference, make_watermark
-from keyfiles import key_parts, rewrite_key_metadata, write_key_parts
+from keyfiles import V1_KEYS, key_parts, rewrite_key_metadata, write_key_parts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -291,6 +291,17 @@ class TestKeyRouting:
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedSideInfo") and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["pgm", "v1-single", "v1-bundle"])
+    @pytest.mark.parametrize("marked", ["marked", "ppm"])
+    def test_key_that_is_not_svdk(self, keys, tmp_path, capsys, marked, key):
+        if key != "pgm":
+            keys[key] = str(tmp_path / f"{key}.json")
+            Path(keys[key]).write_text(V1_KEYS[key.removeprefix("v1-")])
+        assert run(["extract", "--marked", keys[marked], "--key", keys[key],
+                    "--out", keys["out"]]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: CodecError: not an SVDK key file"]
+
     @pytest.mark.parametrize("infos", [5, None])
     def test_bundle_infos_not_a_list(self, keys, capsys, infos):
         rewrite_key_metadata(keys["bundle"], lambda d: d.__setitem__("infos", infos))
@@ -445,6 +456,27 @@ def test_embed_alpha_zero_writes_no_key(scene, tmp_path, capsys, alpha, cover_ex
     assert capsys.readouterr().err.splitlines() == [
         "error: InvalidParameter: stored alpha must be positive, got 0"]
     assert not key.exists()
+
+
+@pytest.mark.parametrize("failure", ["alpha-zero", "key-dir-missing"])
+@pytest.mark.parametrize("out_ext", ["pgm", "svdf", "ppm"])
+def test_failed_embed_writes_no_output(scene, tmp_path, capsys, out_ext, failure):
+    # The marked image is written first; a key that cannot be written
+    # takes it back, so no marked image is left without its key.
+    _, _, p = scene
+    cover = p["cover"]
+    if out_ext == "ppm":
+        cover = str(tmp_path / "cover.ppm")
+        sm.write_ppm(sm.synthetic_rgb(64, 64, seed=21), cover)
+    out = tmp_path / f"m.{out_ext}"
+    key = tmp_path / ("nodir" if failure == "key-dir-missing" else "") / "k.svdk"
+    alpha = "0" if failure == "alpha-zero" else "0.1"
+    assert run(["embed", "--cover", cover, "--watermark", p["wm"], "--alpha", alpha,
+                "--out", str(out), "--key", str(key)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists() and not key.exists()
+    left = {Path(f).name for f in (cover, p["cover"], p["wm"])}
+    assert {f.name for f in tmp_path.iterdir()} == left
 
 
 @pytest.mark.parametrize("spec, field", [

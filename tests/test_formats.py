@@ -7,7 +7,6 @@ import pytest
 import svdmark as sm
 from svdmark.errors import (
     CodecError,
-    InvalidInput,
     InvalidParameter,
     MalformedSideInfo,
     UnsupportedFormat,
@@ -15,7 +14,7 @@ from svdmark.errors import (
 )
 
 from conftest import seeded_matrix
-from keyfiles import HEADER, key_parts, rewrite_key_metadata, write_key_parts, write_v1_key
+from keyfiles import HEADER, V1_KEYS, key_parts, rewrite_key_metadata, write_key_parts
 
 
 class TestPgm:
@@ -196,17 +195,6 @@ class TestSideInfoFile:
         with pytest.raises(MalformedSideInfo):
             sm.load_sideinfo(str(path))
 
-    def test_corrupt_base64(self, tmp_path, semiblind_info):
-        # Only version-1 JSON keys hold base64; their reader is still used.
-        _, info = semiblind_info
-        path = tmp_path / "key.json"
-        write_v1_key(info, path)
-        doc = json.loads(path.read_text())
-        doc["u"] = "!!!not-base64!!!"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CodecError):
-            sm.load_sideinfo(str(path))
-
     @pytest.mark.parametrize("cut", [-3, -8, 8])
     def test_payload_length_mismatch(self, tmp_path, semiblind_info, cut):
         _, info = semiblind_info
@@ -271,58 +259,32 @@ class TestSideInfoFile:
         for name in ("u", "v", "v_w"):
             assert not getattr(back, name).flags.owndata
 
-    def test_full_layout_hash_key_still_loads(self, tmp_path, hash_info, identity):
-        marked, info = hash_info
-        path = tmp_path / "key.json"
-        write_v1_key(info, path, s_layout="full")
-        back = sm.load_sideinfo(str(path))
-        for name in ("u", "s", "v", "v_w"):
-            assert getattr(back, name).tobytes() == getattr(info, name).tobytes()
-        assert (sm.recover_masked_bytes(marked, back).tobytes()
-                == sm.recover_masked_bytes(marked, info).tobytes())
-        assert (sm.extract_invisible(marked, back, identity).tobytes()
-                == sm.extract_invisible(marked, info, identity).tobytes())
-
-    def test_full_layout_off_diagonal_rejected(self, tmp_path, hash_info):
-        _, info = hash_info
-        s = info.s.copy()
-        s[0, 1] = 3.0
-        path = tmp_path / "key.json"
-        write_v1_key(info, path, s_layout="full", s=s)
-        with pytest.raises(InvalidInput):
-            sm.load_sideinfo(str(path))
-
-    @pytest.mark.parametrize("scheme", ["semi-blind", "hash-code"])
-    def test_v1_diag_key_still_loads(self, tmp_path, semiblind_info, hash_info,
-                                     identity, scheme):
-        marked, info = semiblind_info if scheme == "semi-blind" else hash_info
-        path = tmp_path / "key.json"
-        write_v1_key(info, path)
-        back = sm.load_sideinfo(str(path))
-        for name in ("u", "s", "v", "v_w"):
-            assert getattr(back, name).tobytes() == getattr(info, name).tobytes()
-        if scheme == "semi-blind":
-            assert sm.extract(marked, back).tobytes() == sm.extract(marked, info).tobytes()
-        else:
-            assert (sm.extract_invisible(marked, back, identity).tobytes()
-                    == sm.extract_invisible(marked, info, identity).tobytes())
-
     def test_hash_key_stores_diagonal(self, tmp_path, hash_info):
         _, info = hash_info
-        v2, v1 = tmp_path / "key.json", tmp_path / "v1.json"
+        v2 = tmp_path / "key.json"
         sm.save_sideinfo(info, str(v2))
-        write_v1_key(info, v1)
         meta_len = HEADER.unpack_from(v2.read_bytes())[2]
         m, n = info.rows, info.cols
         assert key_parts(v2)[0]["s_layout"] == "diag"
         assert v2.stat().st_size == HEADER.size + meta_len + 8 * (m * m + min(m, n) + 2 * n * n)
-        assert v2.stat().st_size <= 0.76 * v1.stat().st_size
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "key.json"
         path.write_bytes(b"\x00\x01\x02")
         with pytest.raises(CodecError):
             sm.load_sideinfo(str(path))
+
+    @pytest.mark.parametrize("kind", ["v1-single", "v1-bundle", "pgm"])
+    @pytest.mark.parametrize("load", [sm.load_sideinfo, sm.load_bundle],
+                             ids=["sideinfo", "bundle"])
+    def test_only_svdk_keys_load(self, tmp_path, kind, load):
+        path = tmp_path / "key"
+        if kind == "pgm":
+            sm.write_pgm(seeded_matrix(3, 4, 4), str(path))
+        else:
+            path.write_text(V1_KEYS[kind.removeprefix("v1-")])
+        with pytest.raises(CodecError, match="^not an SVDK key file$"):
+            load(str(path))
 
 
 class TestBundleFile:
@@ -347,23 +309,6 @@ class TestBundleFile:
         sm.save_sideinfo(info, str(path))
         with pytest.raises(MalformedSideInfo):
             sm.load_bundle(str(path))
-
-    @pytest.mark.parametrize("scheme", list(sm.SchemeTag))
-    def test_v1_bundle_still_loads(self, tmp_path, identity, scheme):
-        img = sm.synthetic_rgb(32, 32, seed=9)
-        wm = sm.synthetic_image(32, 32, 10, roughness=1.2, contrast=70.0)
-        ident = identity if scheme is sm.SchemeTag.HASH_CODE else None
-        marked, bundle = sm.embed_color(img, wm, sm.ChannelStrategy.PER_CHANNEL,
-                                        scheme, alpha=0.1, identity=ident)
-        path = tmp_path / "bundle.json"
-        write_v1_key(bundle, path)
-        back = sm.load_bundle(str(path))
-        assert back.strategy is bundle.strategy
-        for a, b in zip(back.infos, bundle.infos):
-            for name in ("u", "s", "v", "v_w"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert (sm.extract_color(marked, back, back.strategy, identity=ident).tobytes()
-                == sm.extract_color(marked, bundle, bundle.strategy, identity=ident).tobytes())
 
     def test_bundle_arrays_are_aligned(self, tmp_path):
         img = sm.synthetic_rgb(24, 20, seed=9)

@@ -5,12 +5,11 @@ exactly 0, the dimensions, ``s_layout``, a quant block on a semi-blind
 record, ``"quant": null`` included) and leave every other invariant to
 ``SideInfo`` and ``QuantParams``.  Each defect below must raise the same
 class through ``load_sideinfo``, and through ``load_bundle`` when it
-sits in one of a bundle's records, for SVDK and version-1 JSON keys.
+sits in one of a bundle's records.
 The writers refuse an alpha of 0 with the loaders' error, so no key is
 written that no loader takes back.
 """
 
-import json
 import math
 
 import pytest
@@ -19,7 +18,7 @@ import svdmark as sm
 from svdmark.errors import InvalidParameter, MalformedSideInfo
 
 from conftest import seeded_matrix
-from keyfiles import rewrite_key_metadata, write_v1_key
+from keyfiles import rewrite_key_metadata
 
 ROWS, COLS = 10, 8
 QUANT = {"lo": -1.0, "hi": 2.0, "degenerate": False}
@@ -46,6 +45,11 @@ HASH_QUANT_DEFECTS = {
     "quant-string": _set("quant", "lo=-1,hi=2"),
     "quant-no-hi": lambda r: r["quant"].pop("hi"),
 }
+# Only the diagonal layout, which stores the min(M, N) singular values.
+LAYOUT_DEFECTS = {
+    "s_layout-full": _set("s_layout", "full"),
+    "s_layout-missing": _drop("s_layout"),
+}
 SEMIBLIND_QUANT_DEFECTS = {
     "quant-null": _set("quant", None),
     "quant-empty": _set("quant", {}),
@@ -65,15 +69,9 @@ def infos():
     }
 
 
-def _write_single(path, info, mutate, container):
-    if container == "svdk":
-        sm.save_sideinfo(info, str(path))
-        rewrite_key_metadata(path, mutate)
-    else:
-        write_v1_key(info, path)
-        doc = json.loads(path.read_text())
-        mutate(doc)
-        path.write_text(json.dumps(doc))
+def _write_single(path, info, mutate):
+    sm.save_sideinfo(info, str(path))
+    rewrite_key_metadata(path, mutate)
 
 
 def _write_bundle(path, info, mutate):
@@ -83,11 +81,10 @@ def _write_bundle(path, info, mutate):
 
 
 def _check(tmp_path, info, mutate, error):
-    for container in ("svdk", "v1"):
-        path = tmp_path / f"single.{container}"
-        _write_single(path, info, mutate, container)
-        with pytest.raises(error):
-            sm.load_sideinfo(str(path))
+    path = tmp_path / "single.svdk"
+    _write_single(path, info, mutate)
+    with pytest.raises(error):
+        sm.load_sideinfo(str(path))
     path = tmp_path / "bundle.svdk"
     _write_bundle(path, info, mutate)
     with pytest.raises(error):
@@ -98,6 +95,12 @@ def _check(tmp_path, info, mutate, error):
 @pytest.mark.parametrize("defect", list(ALPHA_DEFECTS))
 def test_bad_stored_alpha(tmp_path, infos, scheme, defect):
     _check(tmp_path, infos[scheme], ALPHA_DEFECTS[defect], InvalidParameter)
+
+
+@pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+@pytest.mark.parametrize("defect", list(LAYOUT_DEFECTS))
+def test_key_without_the_diagonal_s_layout(tmp_path, infos, scheme, defect):
+    _check(tmp_path, infos[scheme], LAYOUT_DEFECTS[defect], MalformedSideInfo)
 
 
 @pytest.mark.parametrize("defect", list(HASH_QUANT_DEFECTS))
@@ -121,10 +124,9 @@ def test_semiblind_key_with_any_quant(tmp_path, infos, defect):
 def test_unmutated_keys_load(tmp_path, infos):
     # Every rejection above is earned: the same writers without a defect load.
     for info in infos.values():
-        for container in ("svdk", "v1"):
-            path = tmp_path / f"single.{container}"
-            _write_single(path, info, lambda record: None, container)
-            assert sm.load_sideinfo(str(path)).scheme is info.scheme
+        path = tmp_path / "single.svdk"
+        _write_single(path, info, lambda record: None)
+        assert sm.load_sideinfo(str(path)).scheme is info.scheme
         path = tmp_path / "bundle.svdk"
         _write_bundle(path, info, lambda record: None)
         assert sm.load_bundle(str(path)).infos[0].scheme is info.scheme

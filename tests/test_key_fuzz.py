@@ -17,13 +17,13 @@ from svdmark.cli import cli_main
 from svdmark.errors import CodecError, WatermarkError
 
 from conftest import seeded_matrix
-from keyfiles import HEADER, write_v1_key
+from keyfiles import HEADER
 
 ROWS, COLS = 12, 10
 KINDS = ("single", "bundle", "hash")
 # The marked image the CLI extracts with each kind of key; none for the
 # hash-code key, which plain ``extract`` refuses whatever its bytes.
-MARKED = {"single": "single.svdf", "bundle": "bundle.ppm", "v1": "single.svdf"}
+MARKED = {"single": "single.svdf", "bundle": "bundle.ppm"}
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +36,13 @@ def keys(tmp_path_factory):
     marked, info = sm.embed(cover, wm, 0.1)
     sm.write_float_image(marked, str(d / "single.svdf"))
     sm.save_sideinfo(info, str(d / "single.key"))
-    write_v1_key(info, d / "v1.key")
     marked, bundle = sm.embed_color(sm.synthetic_rgb(ROWS, COLS, seed=3), wm,
                                     sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.SEMI_BLIND)
     sm.write_ppm(marked, str(d / "bundle.ppm"))
     sm.save_bundle(bundle, str(d / "bundle.key"))
     _, info = sm.embed_invisible(cover, wm, ident, 0.1)
     sm.save_sideinfo(info, str(d / "hash.key"))
-    for kind in (*KINDS, "v1"):
+    for kind in KINDS:
         out[kind] = (d / f"{kind}.key").read_bytes()
     return out
 
@@ -130,24 +129,13 @@ def test_metadata_length_past_end(keys, kind, data):
     assert not _check(keys, kind, bytes(raw))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_truncated_v1_json_key(keys, data):
-    v1 = keys["v1"]
-    assert v1.endswith(b"}\n")  # dropping only the newline leaves a valid key
-    n = data.draw(st.integers(0, len(v1) - 2))
-    assert not _check(keys, "v1", v1[:n])
-
-
-@pytest.mark.parametrize("kind", ("single", "v1"))
+@pytest.mark.parametrize("kind", ("single", "bundle"))
 def test_deeply_nested_json_rejected(keys, kind):
     nested = b"[" * 100_006  # 10 + 100_006 is a multiple of 8: metadata gets parsed
-    if kind == "single":
-        nested = HEADER.pack(b"SVDK", 2, len(nested)) + nested
-    assert not _check(keys, kind, nested)
+    assert not _check(keys, kind, HEADER.pack(b"SVDK", 2, len(nested)) + nested)
 
 
 def test_fuzz_keys_load(keys):
     # The unmutated inputs are valid, so every rejection above is earned.
-    for kind in (*KINDS, "v1"):
+    for kind in KINDS:
         assert _check(keys, kind, keys[kind])
