@@ -86,7 +86,7 @@ def main():
     cli_error("error: CodecError: not an SVDK key file",
               "extract", "--marked", p["marked.svdf"], "--key", p["cover.pgm"],
               "--out", p["extracted.pgm"])
-    print("no key holds alpha 0, so this embed fails and leaves no marked image:")
+    print("recovery divides by alpha, so alpha 0 is refused and no file is written:")
     cli_error("error: InvalidParameter",
               "embed", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
               "--alpha", "0", "--out", p["marked0.svdf"], "--key", p["key0.svdk"])

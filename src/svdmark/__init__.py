@@ -31,7 +31,6 @@ from .color import (
 )
 from .errors import (
     CodecError,
-    DegenerateKey,
     DimensionError,
     InvalidInput,
     InvalidKey,
@@ -89,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackKind", "AttackSpec", "ChannelStrategy", "CodecError", "DEFAULT_ALPHA",
-    "DEFAULT_THRESHOLD", "DegenerateKey", "DimensionError", "Identity",
+    "DEFAULT_THRESHOLD", "DimensionError", "Identity",
     "InvalidInput", "InvalidKey", "InvalidParameter", "MalformedSideInfo",
     "QuantParams", "RgbImage", "RobustnessReport", "SchemeTag", "SideInfo",
     "SideInfoBundle", "SvdFactors", "SweepRow", "UnsupportedFormat",

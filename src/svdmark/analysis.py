@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidParameter
 from .matrix import as_matrix, svd
-from .semiblind import _conforming_pair, _mark, _unmark, split_watermark
+from .semiblind import _check_alpha, _conforming_pair, _mark, _unmark, split_watermark
 
 PEAK = 255.0
 
@@ -264,12 +264,10 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     give for its alpha, to the bit.
     """
     cover, watermark = _conforming_pair(cover, watermark)
-    alphas = [float(x) for x in alphas]
+    alphas = [_check_alpha(x) for x in alphas]
     attacks = list(attacks)
     if not alphas or not attacks:
         raise InvalidParameter("alphas and attacks must be non-empty")
-    if not all(math.isfinite(x) and x > 0 for x in alphas):
-        raise InvalidParameter("sweep alphas must be finite and positive")
     attack_fns = [_attack(spec, cover.shape) for spec in attacks]
     f = svd(cover)
     a_wa, v_w = split_watermark(watermark)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, color, formats, invisible, semiblind
 from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
-from .errors import WatermarkError
+from .errors import UnsupportedFormat, WatermarkError
 from .hashstream import Identity
 from .matrix import svd
 from .semiblind import DEFAULT_ALPHA, SchemeTag
@@ -169,7 +169,13 @@ def _load_watermark(path, rows, cols, resize):
 
 
 def _cmd_embed(args):
+    if os.path.realpath(args.out) == os.path.realpath(args.key):
+        raise _UsageError("--out and --key name the same file")
     if _is_color(args.cover, args.strategy):
+        ext = os.path.splitext(args.out)[1].lower()
+        if ext != ".ppm":
+            raise UnsupportedFormat(
+                f"cannot write a colour image to {ext or 'extensionless'} files")
         img = formats.read_ppm(args.cover)
         w = _load_watermark(args.watermark, img.rows, img.cols, args.resize_watermark)
         marked, key = color.embed_color(

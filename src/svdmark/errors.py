@@ -25,10 +25,6 @@ class InvalidKey(WatermarkError):
     """Identity key material is missing or empty."""
 
 
-class DegenerateKey(WatermarkError):
-    """Side info cannot invert the embedding (scaling factor is zero)."""
-
-
 class MalformedSideInfo(WatermarkError):
     """Side info is inconsistent with the requested operation."""
 

@@ -19,7 +19,6 @@ import numpy as np
 from .color import ChannelStrategy, RgbImage, SideInfoBundle
 from .errors import (
     CodecError,
-    InvalidParameter,
     MalformedSideInfo,
     UnsupportedFormat,
     UnsupportedVersion,
@@ -172,19 +171,11 @@ class _KeyArrays:
             raise CodecError(f"key file is {len(self.data)} bytes, not {self.offset}")
 
 
-def _stored_alpha(alpha):
-    """``alpha``, checked for a key file: SideInfo allows 0 (an unmarked
-    cover), which no extraction inverts, so no key is written or read with it."""
-    if alpha == 0:
-        raise InvalidParameter("stored alpha must be positive, got 0")
-    return alpha
-
-
 def _sideinfo_meta(info):
     meta = {
         "version": KEY_VERSION,
         "scheme_tag": info.scheme.value,
-        "alpha": _stored_alpha(info.alpha),
+        "alpha": info.alpha,
         "rows": info.rows,
         "cols": info.cols,
         "s_layout": "diag",
@@ -214,7 +205,6 @@ def _sideinfo_from_doc(doc, arrays):
         raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
     # SideInfo checks the rest, but cannot tell "quant": null from no
     # quant block.
-    _stored_alpha(alpha)
     if rows < 1 or cols < 1:
         raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
     if s_layout != "diag":

@@ -15,12 +15,13 @@ import numpy as np
 
 from . import semiblind
 from .analysis import normalized_correlation
-from .errors import DimensionError, InvalidKey, InvalidParameter
+from .errors import InvalidKey, InvalidParameter
 from .hashstream import dequantize, derive_mask, quantize, xor_mask
 from .matrix import as_matrix
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
+    _conforming_pair,
     _embed_payload,
     _require_scheme,
     recover_principal_components,
@@ -58,19 +59,15 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     """Either scheme's embed of one watermark into same-shaped cover planes.
 
     The one place that decides between the schemes: the keyed scheme takes
-    an identity and a non-zero alpha, and its masked payload is built once
-    and shared by every plane.  Returns ``(marked_planes, side_infos)``.
+    an identity, and its masked payload is built once and shared by every
+    plane.  Returns ``(marked_planes, side_infos)``.
     """
     scheme = SchemeTag(scheme)
-    w = as_matrix(watermark, "watermark")
-    if w.shape != planes[0].shape:
-        raise DimensionError(f"watermark {w.shape} does not match cover {planes[0].shape}")
+    _, w = _conforming_pair(planes[0], watermark)
     keyed = scheme is SchemeTag.HASH_CODE
     if keyed != (identity is not None):
         need = "requires an" if keyed else "takes no"
         raise InvalidKey(f"{scheme.value} embedding {need} identity")
-    if keyed and float(alpha) == 0:
-        raise InvalidParameter("hash-code embedding needs a non-zero alpha")
     payload, v_w = split_watermark(w)
     quant = None
     if keyed:

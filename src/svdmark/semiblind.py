@@ -15,13 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateKey,
-    DimensionError,
-    InvalidInput,
-    InvalidParameter,
-    MalformedSideInfo,
-)
+from .errors import DimensionError, InvalidInput, InvalidParameter, MalformedSideInfo
 from .matrix import ORTHOGONALITY_TOL, SvdFactors, as_matrix, orthogonality_residual, svd
 
 # Default embedding strength; strong enough to survive mild distortion
@@ -37,12 +31,23 @@ class SchemeTag(str, Enum):
     HASH_CODE = "hash-code"
 
 
+def _check_alpha(alpha):
+    """``alpha`` as a float, or ``InvalidParameter``: recovery divides by
+    it, so it must be finite and positive.  The one alpha check, run by
+    ``SideInfo`` (so by every embed and key load) and the sweep."""
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidParameter(f"alpha must be finite and positive, got {alpha}")
+    return alpha
+
+
 class SideInfo(SvdFactors):
     """Everything the detector needs, captured at embed time.
 
     Stores the exact cover factors (``u``, ``sigma``, ``v``, checked as
     ``SvdFactors`` are) rather than the cover image: recomputing the SVD
     later could flip singular-vector signs and break the inversion.
+    ``alpha`` is finite and positive, so the embedding is invertible.
     Never contains the identity or the derived mask.  Treat as read-only
     once constructed.
     """
@@ -57,9 +62,7 @@ class SideInfo(SvdFactors):
             raise DimensionError(f"factor shapes do not conform to {rows}x{cols}")
         if orthogonality_residual(self.v_w) > ORTHOGONALITY_TOL:
             raise InvalidInput("v_w is not orthogonal")
-        self.alpha = float(alpha)
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise InvalidParameter(f"alpha must be finite and non-negative, got {self.alpha}")
+        self.alpha = _check_alpha(alpha)
         if self.scheme is SchemeTag.HASH_CODE and quant is None:
             raise MalformedSideInfo("hash-code side info requires quantization params")
         if self.scheme is SchemeTag.SEMI_BLIND and quant is not None:
@@ -112,8 +115,7 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
 
     Returns ``(marked, side_info)``.  The marked image is real-valued;
     clipping to an 8-bit range is a file-format concern, not part of the
-    scheme.  ``alpha = 0`` produces the cover unchanged and yields side
-    info that extraction refuses (useful only in tests).
+    scheme.  ``alpha`` must be finite and positive (``InvalidParameter``).
     """
     cover, watermark = _conforming_pair(cover, watermark)
     return _embed_payload(cover, *split_watermark(watermark), alpha, SchemeTag.SEMI_BLIND)
@@ -144,8 +146,6 @@ def recover_principal_components(marked, info):
             f"marked image {marked.shape} does not match side info "
             f"{(info.rows, info.cols)}"
         )
-    if info.alpha == 0:
-        raise DegenerateKey("side info has alpha = 0; embedding is not invertible")
     return _unmark(info.u, info.sigma, info.v, marked, info.alpha)
 
 

@@ -454,7 +454,7 @@ def test_embed_alpha_zero_writes_no_key(scene, tmp_path, capsys, alpha, cover_ex
     assert run(["embed", "--cover", cover, "--watermark", p["wm"], "--alpha", alpha,
                 "--out", str(tmp_path / f"m.{cover_ext}"), "--key", str(key)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: InvalidParameter: stored alpha must be positive, got 0"]
+        f"error: InvalidParameter: alpha must be finite and positive, got {float(alpha)}"]
     assert not key.exists()
 
 
@@ -477,6 +477,38 @@ def test_failed_embed_writes_no_output(scene, tmp_path, capsys, out_ext, failure
     assert not out.exists() and not key.exists()
     left = {Path(f).name for f in (cover, p["cover"], p["wm"])}
     assert {f.name for f in tmp_path.iterdir()} == left
+
+
+@pytest.mark.parametrize("out_ext", ["svdf", "pgm", "txt"])
+def test_colour_embed_writes_only_ppm(tmp_path, capsys, out_ext):
+    # A colour embed makes a PPM image; under another name no reader would
+    # take it back.
+    cover, wm = str(tmp_path / "cover.ppm"), str(tmp_path / "wm.pgm")
+    sm.write_ppm(sm.synthetic_rgb(16, 16, seed=21), cover)
+    sm.write_pgm(make_watermark(16), wm)
+    out, key = tmp_path / f"m.{out_ext}", tmp_path / "k.svdk"
+    assert run(["embed", "--cover", cover, "--watermark", wm,
+                "--out", str(out), "--key", str(key)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnsupportedFormat:") and err.count("\n") == 1, err
+    assert not out.exists() and not key.exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "embed-hash"])
+@pytest.mark.parametrize("out_ext", ["pgm", "svdf", "ppm"])
+def test_embed_out_and_key_on_one_file_is_a_usage_error(scene, tmp_path, capsys,
+                                                         command, out_ext):
+    # The key would replace the marked image.  Refused before any input is
+    # read, so a missing cover does not matter.
+    _, _, p = scene
+    same = tmp_path / f"same.{out_ext}"
+    ident = ["--id", "alice|8f3a9c"] if command == "embed-hash" else []
+    assert run([command, "--cover", str(tmp_path / f"absent.{out_ext}"), "--watermark",
+                p["wm"], *ident, "--out", str(same),
+                "--key", f"{tmp_path}/./same.{out_ext}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: usage: --out and --key name the same file"]
+    assert not same.exists()
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -541,3 +573,15 @@ def test_abbreviated_option_is_a_usage_error(scene, capsys):
     assert run(["embed", "--cov", p["cover"], "--watermark", p["wm"],
                 "--out", p["marked"], "--key", p["key"]]) == 1
     assert capsys.readouterr().err.startswith("error: usage:")
+
+
+def test_every_exported_error_class_is_raised():
+    # The CLI prints errors by class name; a class nothing raises is a
+    # name no user can meet.
+    source = "\n".join(f.read_text() for f in (SRC / "svdmark").glob("*.py"))
+    classes = [name for name in sm.__all__
+               if isinstance(getattr(sm, name), type)
+               and issubclass(getattr(sm, name), sm.WatermarkError)
+               and getattr(sm, name) is not sm.WatermarkError]
+    assert len(classes) >= 8
+    assert [name for name in classes if f"raise {name}(" not in source] == []

@@ -64,13 +64,6 @@ class TestLuminance:
 
 
 class TestEmbedColor:
-    def test_blue_alpha_zero_is_identity(self, rgb128, wm128):
-        marked, _ = sm.embed_color(rgb128, wm128, sm.ChannelStrategy.BLUE_CHANNEL,
-                                   sm.SchemeTag.SEMI_BLIND, alpha=0.0)
-        assert np.array_equal(marked.r, rgb128.r)
-        assert np.array_equal(marked.g, rgb128.g)
-        assert np.abs(marked.b - rgb128.b).max() <= 1e-10
-
     def test_blue_channel_isolation(self, rgb128, wm128):
         marked, _ = sm.embed_color(rgb128, wm128, sm.ChannelStrategy.BLUE_CHANNEL,
                                    sm.SchemeTag.SEMI_BLIND, alpha=0.1)

@@ -1,12 +1,12 @@
 """One defect per key record, each pinned to the error class it raises.
 
-The key loaders check what only the file can tell (a stored alpha of
-exactly 0, the dimensions, ``s_layout``, a quant block on a semi-blind
-record, ``"quant": null`` included) and leave every other invariant to
-``SideInfo`` and ``QuantParams``.  Each defect below must raise the same
-class through ``load_sideinfo``, and through ``load_bundle`` when it
-sits in one of a bundle's records.
-The writers refuse an alpha of 0 with the loaders' error, so no key is
+The key loaders check what only the file can tell (the dimensions,
+``s_layout``, a quant block on a semi-blind record, ``"quant": null``
+included) and leave every other invariant, the alpha rule among them,
+to ``SideInfo`` and ``QuantParams``.  Each defect below must raise the
+same class through ``load_sideinfo``, and through ``load_bundle`` when
+it sits in one of a bundle's records.
+An embed refuses an alpha of 0 with the loaders' error, so no key is
 written that no loader takes back.
 """
 
@@ -133,16 +133,14 @@ def test_unmutated_keys_load(tmp_path, infos):
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.0])
-def test_alpha_zero_is_not_written(tmp_path, alpha):
-    # In memory, alpha 0 embeds the cover unchanged; no key may hold it,
-    # since no loader would take the key back.
+def test_alpha_zero_is_not_written(tmp_path, infos, alpha):
+    # No side info holds alpha 0, so no writer is ever handed one: an embed
+    # at 0 fails with the very error a loader gives a key edited to hold 0.
     cover, wm = seeded_matrix(1, ROWS, COLS), seeded_matrix(2, ROWS, COLS)
-    _, info = sm.embed(cover, wm, alpha)
-    _, bundle = sm.embed_color(sm.synthetic_rgb(ROWS, COLS, seed=3), wm,
-                               sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.SEMI_BLIND, alpha)
+    with pytest.raises(InvalidParameter) as embedding:
+        sm.embed(cover, wm, alpha)
     path = tmp_path / "key.svdk"
-    with pytest.raises(InvalidParameter, match="stored alpha must be positive"):
-        sm.save_sideinfo(info, str(path))
-    with pytest.raises(InvalidParameter, match="stored alpha must be positive"):
-        sm.save_bundle(bundle, str(path))
-    assert not path.exists()
+    _write_single(path, infos[sm.SchemeTag.SEMI_BLIND], _set("alpha", alpha))
+    with pytest.raises(InvalidParameter) as loading:
+        sm.load_sideinfo(str(path))
+    assert str(embedding.value) == str(loading.value)

@@ -13,6 +13,7 @@ from svdmark import invisible
 from svdmark.cli import cli_main
 
 from conftest import seeded_matrix
+from keyfiles import rewrite_key_metadata
 
 ID = "alice|8f3a9c"
 CARRIERS = ["pgm", "svdf", "luminance", "blue", "perchannel"]
@@ -177,38 +178,61 @@ def test_nested_lists_embed_like_arrays(identity):
             _same_info(a, b)
 
 
-# The error class each embed entry point raised before the schemes shared
-# one dispatcher; None means the embed succeeds.
-ALPHA_OUTCOMES = {
-    0.0: (None, sm.InvalidParameter),
-    -0.1: (sm.InvalidParameter, sm.InvalidParameter),
-    float("nan"): (sm.InvalidParameter, sm.InvalidParameter),
-    float("inf"): (sm.InvalidParameter, sm.InvalidParameter),
-    1e155: (sm.InvalidParameter, sm.InvalidParameter),
-    1e308: (sm.InvalidInput, sm.InvalidInput),
-}
+# The error class each way an alpha enters raises; None means it is
+# accepted.  Every entry point keeps one rule, finite and positive.  The
+# embeds and the sweep also mark an image, which a huge alpha overflows;
+# side info, built directly or loaded from a key, marks nothing.  A list,
+# not a dict, since 0.0 == -0.0.
+ALPHA_OUTCOMES = [  # (alpha, (marks an image, side info only))
+    (0.0, (sm.InvalidParameter, sm.InvalidParameter)),
+    (-0.0, (sm.InvalidParameter, sm.InvalidParameter)),
+    (-0.1, (sm.InvalidParameter, sm.InvalidParameter)),
+    (float("nan"), (sm.InvalidParameter, sm.InvalidParameter)),
+    (float("inf"), (sm.InvalidParameter, sm.InvalidParameter)),
+    (1e155, (sm.InvalidParameter, None)),
+    (1e308, (sm.InvalidInput, None)),
+]
 
 
-def _embed_entry_points(identity):
+def _with_stored_alpha(path, alpha, record):
+    """``path``, after setting the alpha of the key record ``record`` picks."""
+    rewrite_key_metadata(path, lambda meta: record(meta).__setitem__("alpha", alpha))
+    return path
+
+
+def _alpha_entry_points(identity, tmp_path):
     cover, wm = seeded_matrix(1, 16, 16), seeded_matrix(2, 16, 16)
     img = sm.synthetic_rgb(16, 16, seed=5)
     yield "embed", 0, lambda a: sm.embed(cover, wm, a)
-    yield "embed_invisible", 1, lambda a: sm.embed_invisible(cover, wm, identity, a)
+    yield "embed_invisible", 0, lambda a: sm.embed_invisible(cover, wm, identity, a)
     for strategy in sm.ChannelStrategy:
         yield (f"embed_color/{strategy.value}/semi-blind", 0,
                lambda a, s=strategy: sm.embed_color(img, wm, s, "semi-blind", a))
-        yield (f"embed_color/{strategy.value}/hash-code", 1,
+        yield (f"embed_color/{strategy.value}/hash-code", 0,
                lambda a, s=strategy: sm.embed_color(img, wm, s, "hash-code", a, identity))
+    attacks = [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)]
+    yield "robustness_sweep", 0, lambda a: sm.robustness_sweep(cover, wm, [a], attacks)
+    f = sm.svd(cover)
+    yield "SideInfo", 1, lambda a: sm.SideInfo(f.u, f.sigma, f.v, f.v, a, 16, 16)
+    info = sm.embed(cover, wm, 0.1)[1]
+    single, bundle = str(tmp_path / "single.svdk"), str(tmp_path / "bundle.svdk")
+    sm.save_sideinfo(info, single)
+    sm.save_bundle(sm.SideInfoBundle(sm.ChannelStrategy.BLUE_CHANNEL, (info,)), bundle)
+    yield "load_sideinfo", 1, lambda a: sm.load_sideinfo(
+        _with_stored_alpha(single, a, lambda meta: meta))
+    yield "load_bundle", 1, lambda a: sm.load_bundle(
+        _with_stored_alpha(bundle, a, lambda meta: meta["infos"][0]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, at 1e308
-@pytest.mark.parametrize("alpha", list(ALPHA_OUTCOMES))
-def test_alpha_errors_per_entry_point(identity, alpha):
-    for name, keyed, embed in _embed_entry_points(identity):
-        expected = ALPHA_OUTCOMES[alpha][keyed]
+@pytest.mark.parametrize("alpha, outcomes", ALPHA_OUTCOMES,
+                         ids=[str(alpha) for alpha, _ in ALPHA_OUTCOMES])
+def test_alpha_errors_per_entry_point(identity, tmp_path, alpha, outcomes):
+    for name, record_only, enter in _alpha_entry_points(identity, tmp_path):
+        expected = outcomes[record_only]
         if expected is None:
-            embed(alpha)
+            enter(alpha)
             continue
         with pytest.raises(sm.WatermarkError) as caught:
-            embed(alpha)
+            enter(alpha)
         assert type(caught.value) is expected, (name, caught.value)

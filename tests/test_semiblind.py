@@ -5,7 +5,6 @@ import scipy.linalg
 import svdmark as sm
 from svdmark.cli import cli_main
 from svdmark.errors import (
-    DegenerateKey,
     DimensionError,
     InvalidInput,
     InvalidParameter,
@@ -48,11 +47,6 @@ class TestSplitWatermark:
 
 
 class TestEmbed:
-    def test_alpha_zero_is_identity(self, cover64, watermark64):
-        marked, info = sm.embed(cover64, watermark64, 0.0)
-        assert np.abs(marked - cover64).max() <= 1e-10
-        assert info.alpha == 0.0
-
     def test_roundtrip_nc(self, cover64, watermark64):
         marked, info = sm.embed(cover64, watermark64, 0.1)
         w_star = sm.extract(marked, info)
@@ -77,7 +71,7 @@ class TestEmbed:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_alpha(self, cover64, watermark64, bad):
-        with pytest.raises(InvalidParameter, match="finite and non-negative"):
+        with pytest.raises(InvalidParameter, match="finite and positive"):
             sm.embed(cover64, watermark64, bad)
 
 
@@ -104,9 +98,11 @@ class TestExtract:
         assert nc >= th.NOISE_SIGMA2_NC_MIN
 
     def test_alpha_zero_info_rejected(self, cover64, watermark64):
-        marked, info = sm.embed(cover64, watermark64, 0.0)
-        with pytest.raises(DegenerateKey):
-            sm.extract(marked, info)
+        # Recovery divides by alpha, so no side info holds an alpha of 0.
+        _, info = sm.embed(cover64, watermark64, 0.1)
+        with pytest.raises(InvalidParameter, match="finite and positive"):
+            sm.SideInfo(u=info.u, s=info.sigma, v=info.v, v_w=info.v_w, alpha=0.0,
+                        rows=64, cols=64)
 
     def test_scheme_mismatch(self, cover64, watermark64, identity):
         marked, info = sm.embed_invisible(cover64, watermark64, identity, 0.05)

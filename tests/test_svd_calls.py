@@ -2,9 +2,10 @@
 
 The cover and watermark factors are computed once per operation: a sweep
 shares them across its alphas and a per-channel color embed shares the
-watermark split across its planes.  Factors are checked where they enter
-from outside (``SideInfo``, key files, ``SvdFactors`` from caller data),
-not again when they come fresh from LAPACK.
+watermark split across its planes.  Factors are checked once, where they
+become ``SideInfo`` or ``SvdFactors``: an embed's fresh LAPACK factors
+when its side info is built, a key file's when it is loaded, and caller
+data when it is wrapped.  The sweep builds no side info and checks none.
 """
 
 import sys
