@@ -11,8 +11,8 @@ channel of a colour (PPM) cover, and a short robustness sweep.  Any
 command that fails, or succeeds but writes to stderr, stops the demo, as
 does a deliberately bad command that is not refused with exactly its one
 expected error line: an option its subcommand does not take, an image
-passed as the key, and an embed whose key cannot be written, which must
-also leave no marked image behind.
+passed as the key, an embed whose key cannot be written and one whose
+marked image has no writer, both of which must leave no file behind.
 
     python scripts/demo_workflow.py [output-dir]
 """
@@ -56,7 +56,7 @@ def main():
     p = {name: str(out_dir / name) for name in (
         "cover.pgm", "watermark.pgm", "reference.pgm",
         "marked.svdf", "marked.pgm", "key.svdk", "extracted.pgm",
-        "marked0.svdf", "key0.svdk",
+        "marked0.svdf", "key0.svdk", "marked.txt", "key_txt.svdk",
         "marked_keyed.svdf", "key_keyed.svdk", "extracted_keyed.svdf",
         "cover.ppm", "marked_keyed.ppm", "key_keyed_ppm.svdk", "extracted_ppm.svdf",
         "sweep.csv")}
@@ -90,9 +90,13 @@ def main():
     cli_error("error: InvalidParameter",
               "embed", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
               "--alpha", "0", "--out", p["marked0.svdf"], "--key", p["key0.svdk"])
-    for name in ("marked0.svdf", "key0.svdk"):
+    print("a grayscale image is written only as .pgm or .svdf, checked before any input is read:")
+    cli_error("error: UnsupportedFormat",
+              "embed", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],
+              "--out", p["marked.txt"], "--key", p["key_txt.svdk"])
+    for name in ("marked0.svdf", "key0.svdk", "marked.txt", "key_txt.svdk"):
         if Path(p[name]).exists():
-            raise SystemExit(f"the failed embed left {name} behind")
+            raise SystemExit(f"a failed embed left {name} behind")
     print("reference detection with the true watermark basis vs an unrelated image:")
     cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--reference", p["watermark.pgm"])

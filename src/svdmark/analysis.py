@@ -27,11 +27,10 @@ def psnr(a, b):
     b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _psnr(a, b)
+    return _psnr(float(np.mean((a - b) ** 2)))
 
 
-def _psnr(a, b):
-    mse = float(np.mean((a - b) ** 2))
+def _psnr(mse):
     if mse == 0.0:
         return float("inf")
     if mse == math.inf:  # the squared error overflowed; log10(0) would warn
@@ -184,18 +183,11 @@ def resize_bilinear(a, rows, cols):
     if rows < 1 or cols < 1:
         raise InvalidParameter(f"target shape must be positive, got {rows}x{cols}")
     # Columns first, then rows: ``t`` holds the column-interpolated source
-    # rows that the output reads (``slot`` renumbers them), so rows r0 and
-    # r1 of ``t`` are the four-corner formula's top and bottom terms, bit
-    # for bit, at fewer gathers.  The in-place updates round exactly like
-    # ``x * w0 + y * w1``.
+    # rows, so rows r0 and r1 of ``t`` are the four-corner formula's top
+    # and bottom terms, bit for bit, at fewer gathers.  The in-place
+    # updates round exactly like ``x * w0 + y * w1``.
     r0, r1, fr = _bilinear_axis(a.shape[0], rows)
     c0, c1, fc = _bilinear_axis(a.shape[1], cols)
-    read = np.zeros(a.shape[0], bool)
-    read[r0] = read[r1] = True
-    if not read.all():
-        a = a[read]
-        slot = np.cumsum(read) - 1
-        r0, r1 = slot[r0], slot[r1]
     t = np.take(a, c0, axis=1)
     t *= 1.0 - fc
     t += np.take(a, c1, axis=1) * fc
@@ -274,12 +266,10 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     centred_wm = _centred(watermark)
     rows = []
     for alpha in alphas:
-        marked = _mark(f.u, f.sigma, f.v, a_wa, alpha)
-        fidelity = _psnr(cover, marked)
-        if fidelity == -math.inf:
-            raise InvalidParameter(f"sweep alpha {alpha} overflows the marked image's PSNR")
+        marked, mse = _mark(f, cover, a_wa, alpha)
+        fidelity = _psnr(mse)
         for spec, attack in zip(attacks, attack_fns):
-            w_star = _unmark(f.u, f.sigma, f.v, attack(marked), alpha) @ v_w.T
+            w_star = _unmark(f, attack(marked), alpha) @ v_w.T
             centred = _centred(w_star)
             if not math.isfinite(centred[1]):
                 # A NaN or Inf entry lands here (so does a norm that merely

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, color, formats, invisible, semiblind
 from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
-from .errors import UnsupportedFormat, WatermarkError
+from .errors import WatermarkError
 from .hashstream import Identity
 from .matrix import svd
 from .semiblind import DEFAULT_ALPHA, SchemeTag
@@ -171,24 +171,22 @@ def _load_watermark(path, rows, cols, resize):
 def _cmd_embed(args):
     if os.path.realpath(args.out) == os.path.realpath(args.key):
         raise _UsageError("--out and --key name the same file")
-    if _is_color(args.cover, args.strategy):
-        ext = os.path.splitext(args.out)[1].lower()
-        if ext != ".ppm":
-            raise UnsupportedFormat(
-                f"cannot write a colour image to {ext or 'extensionless'} files")
+    colour = _is_color(args.cover, args.strategy)
+    write_marked = formats._image_writer(args.out, "colour image" if colour else "matrix")
+    if colour:
         img = formats.read_ppm(args.cover)
         w = _load_watermark(args.watermark, img.rows, img.cols, args.resize_watermark)
         marked, key = color.embed_color(
             img, w, args.strategy or color.ChannelStrategy.BLUE_CHANNEL, args.scheme,
             alpha=args.alpha, identity=args.identity
         )
-        write_marked, write_key = formats.write_ppm, formats.save_bundle
+        write_key = formats.save_bundle
     else:
         cover = formats.load_matrix(args.cover)
         w = _load_watermark(args.watermark, *cover.shape, args.resize_watermark)
-        (marked,), (key,) = invisible._embed_planes([cover], w, args.scheme, args.alpha,
+        (marked,), (key,) = semiblind._embed_planes([cover], w, args.scheme, args.alpha,
                                                     args.identity)
-        write_marked, write_key = formats.save_matrix, formats.save_sideinfo
+        write_key = formats.save_sideinfo
     write_marked(marked, args.out)
     try:
         write_key(key, args.key)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import invisible
+from . import invisible, semiblind
 from .errors import DimensionError, MalformedSideInfo
 from .matrix import as_matrix
 from .semiblind import DEFAULT_ALPHA, SideInfo
@@ -103,7 +103,7 @@ def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
     split once and shared by every marked plane.
     """
     strategy = ChannelStrategy(strategy)
-    marked, infos = invisible._embed_planes(_planes(img, strategy), w, scheme, alpha, identity)
+    marked, infos = semiblind._embed_planes(_planes(img, strategy), w, scheme, alpha, identity)
     bundle = SideInfoBundle(strategy, infos)
     if strategy is ChannelStrategy.LUMINANCE:
         return luminance_merge(img, marked[0]), bundle

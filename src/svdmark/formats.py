@@ -310,11 +310,18 @@ def load_matrix(path):
     raise UnsupportedFormat(f"cannot read a matrix from {ext or 'extensionless'} files")
 
 
-def save_matrix(m, path):
+# The extensions each carrier, grayscale or colour, is written to.
+_WRITERS = {"matrix": {".pgm": write_pgm, ".svdf": write_float_image},
+            "colour image": {".ppm": write_ppm}}
+
+
+def _image_writer(path, carrier="matrix"):
+    """The ``carrier`` writer for ``path``'s extension, or ``UnsupportedFormat``."""
     ext = os.path.splitext(path)[1].lower()
-    if ext == ".pgm":
-        write_pgm(m, path)
-    elif ext == ".svdf":
-        write_float_image(m, path)
-    else:
-        raise UnsupportedFormat(f"cannot write a matrix to {ext or 'extensionless'} files")
+    if ext not in _WRITERS[carrier]:
+        raise UnsupportedFormat(f"cannot write a {carrier} to {ext or 'extensionless'} files")
+    return _WRITERS[carrier][ext]
+
+
+def save_matrix(m, path):
+    _image_writer(path)(m, path)

@@ -5,7 +5,9 @@ a mask derived from a secret identity, and only then embedded:
 ``S_1 = S + alpha * (quantize(A_wa) XOR h_id)``.  Without the identity
 the committed payload is indistinguishable from uniform noise; with it,
 extraction recovers the exact byte matrix and the watermark up to the
-quantization half-step.
+quantization half-step.  Both schemes embed through ``semiblind``'s one
+core, which builds this payload; this module adds the keyed extraction
+and verification.
 """
 
 from dataclasses import dataclass
@@ -16,16 +18,14 @@ import numpy as np
 from . import semiblind
 from .analysis import normalized_correlation
 from .errors import InvalidKey, InvalidParameter
-from .hashstream import dequantize, derive_mask, quantize, xor_mask
+from .hashstream import dequantize, derive_mask, xor_mask
 from .matrix import as_matrix
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
-    _conforming_pair,
-    _embed_payload,
+    _embed_planes,
     _require_scheme,
     recover_principal_components,
-    split_watermark,
 )
 
 DEFAULT_THRESHOLD = 0.9
@@ -50,30 +50,8 @@ def embed_invisible(cover, watermark, identity, alpha=DEFAULT_ALPHA):
     factors and quantization range but never the identity or the mask;
     the identity is the secret key.
     """
-    planes = [as_matrix(cover, "cover")]
-    (marked,), (info,) = _embed_planes(planes, watermark, SchemeTag.HASH_CODE, alpha, identity)
+    (marked,), (info,) = _embed_planes([cover], watermark, SchemeTag.HASH_CODE, alpha, identity)
     return marked, info
-
-
-def _embed_planes(planes, watermark, scheme, alpha, identity):
-    """Either scheme's embed of one watermark into same-shaped cover planes.
-
-    The one place that decides between the schemes: the keyed scheme takes
-    an identity, and its masked payload is built once and shared by every
-    plane.  Returns ``(marked_planes, side_infos)``.
-    """
-    scheme = SchemeTag(scheme)
-    _, w = _conforming_pair(planes[0], watermark)
-    keyed = scheme is SchemeTag.HASH_CODE
-    if keyed != (identity is not None):
-        need = "requires an" if keyed else "takes no"
-        raise InvalidKey(f"{scheme.value} embedding {need} identity")
-    payload, v_w = split_watermark(w)
-    quant = None
-    if keyed:
-        payload, quant = quantize(payload)
-        payload = xor_mask(payload, derive_mask(identity, *w.shape)).astype(np.float64)
-    return tuple(zip(*(_embed_payload(p, payload, v_w, alpha, scheme, quant) for p in planes)))
 
 
 def _extract_plane(marked, info, identity):

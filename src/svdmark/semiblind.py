@@ -8,6 +8,9 @@ principal components.  Recovery projects back onto the cover's bases,
 The detector does not need the cover or watermark images, only the side
 info captured at embed time (the exact cover factors, the watermark's
 right singular vectors ``V_w``, and ``alpha``).
+The keyed scheme's payload ``quantize(A_wa) XOR h_id`` takes the place
+of ``A_wa`` in the same algebra, so one core here embeds both schemes,
+and the robustness sweep marks through its ``_mark`` step.
 """
 
 import math
@@ -15,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput, InvalidParameter, MalformedSideInfo
+from .errors import DimensionError, InvalidInput, InvalidKey, InvalidParameter, MalformedSideInfo
+from .hashstream import derive_mask, quantize, xor_mask
 from .matrix import ORTHOGONALITY_TOL, SvdFactors, as_matrix, orthogonality_residual, svd
 
 # Default embedding strength; strong enough to survive mild distortion
@@ -93,20 +97,26 @@ def _conforming_pair(cover, watermark):
     return cover, watermark
 
 
-def _mark(u, sigma, v, payload, alpha):
-    """The scheme's forward algebra on precomputed cover factors,
-    ``U (S + alpha payload) V^T``; a marked image that overflows is
+def _mark(f, cover, payload, alpha):
+    """The schemes' forward algebra on the cover's factors ``f``,
+    ``U (S + alpha payload) V^T``.  Returns the marked image and its mean
+    squared error against ``cover``; an alpha that overflows either is
     rejected here."""
     t = alpha * payload
-    t[np.diag_indices(sigma.size)] += sigma
-    return as_matrix(u @ t @ v.T, "marked")
+    t[np.diag_indices(f.sigma.size)] += f.sigma
+    marked = as_matrix(f.u @ t @ f.v.T, "marked")
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((marked - cover) ** 2))
+    if mse == math.inf:
+        raise InvalidParameter(f"alpha {alpha} overflows the marked image's PSNR")
+    return marked, mse
 
 
-def _unmark(u, sigma, v, marked, alpha):
+def _unmark(f, marked, alpha):
     """Inverse of ``_mark``: ``U`` and ``V`` are orthogonal, so projecting
     onto them leaves ``S + alpha * payload``."""
-    t = u.T @ marked @ v
-    t[np.diag_indices(sigma.size)] -= sigma
+    t = f.u.T @ marked @ f.v
+    t[np.diag_indices(f.sigma.size)] -= f.sigma
     return t / alpha
 
 
@@ -117,20 +127,37 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     clipping to an 8-bit range is a file-format concern, not part of the
     scheme.  ``alpha`` must be finite and positive (``InvalidParameter``).
     """
-    cover, watermark = _conforming_pair(cover, watermark)
-    return _embed_payload(cover, *split_watermark(watermark), alpha, SchemeTag.SEMI_BLIND)
-
-
-def _embed_payload(cover, payload, v_w, alpha, scheme, quant=None):
-    """Both schemes' embed core: mark ``cover`` with a prepared payload.
-    The side info is built first, so its alpha check runs before marking."""
-    f = svd(cover)
-    info = SideInfo(f.u, f.sigma, f.v, v_w, alpha, *cover.shape, scheme, quant)
-    marked = _mark(f.u, f.sigma, f.v, payload, info.alpha)
-    with np.errstate(over="ignore"):
-        if np.mean((marked - cover) ** 2) == math.inf:
-            raise InvalidParameter(f"alpha {info.alpha} overflows the marked image's PSNR")
+    (marked,), (info,) = _embed_planes([cover], watermark, SchemeTag.SEMI_BLIND, alpha, None)
     return marked, info
+
+
+def _embed_planes(planes, watermark, scheme, alpha, identity):
+    """Either scheme's embed of one watermark into same-shaped cover planes.
+
+    The one place that decides between the schemes: the keyed scheme takes
+    an identity, and its masked payload is built once and shared by every
+    plane.  Every argument is checked before the first SVD.  Returns
+    ``(marked_planes, side_infos)``.
+    """
+    scheme = SchemeTag(scheme)
+    cover, w = _conforming_pair(planes[0], watermark)
+    keyed = scheme is SchemeTag.HASH_CODE
+    if keyed != (identity is not None):
+        need = "requires an" if keyed else "takes no"
+        raise InvalidKey(f"{scheme.value} embedding {need} identity")
+    mask = derive_mask(identity, *w.shape) if keyed else None
+    alpha = _check_alpha(alpha)
+    payload, v_w = split_watermark(w)
+    quant = None
+    if keyed:
+        payload, quant = quantize(payload)
+        payload = xor_mask(payload, mask).astype(np.float64)
+    marked, infos = [], []
+    for p in (cover, *planes[1:]):
+        f = svd(p)
+        infos.append(SideInfo(f.u, f.sigma, f.v, v_w, alpha, *p.shape, scheme, quant))
+        marked.append(_mark(f, p, payload, alpha)[0])
+    return marked, infos
 
 
 def recover_principal_components(marked, info):
@@ -146,7 +173,7 @@ def recover_principal_components(marked, info):
             f"marked image {marked.shape} does not match side info "
             f"{(info.rows, info.cols)}"
         )
-    return _unmark(info.u, info.sigma, info.v, marked, info.alpha)
+    return _unmark(info, marked, info.alpha)
 
 
 def extract(marked, info):

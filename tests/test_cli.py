@@ -363,7 +363,7 @@ def test_sweep_alpha_with_overflowing_psnr_is_one_error_line(tmp_path):
         timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: InvalidParameter: sweep alpha 1e+300 overflows the marked image's PSNR"]
+        "error: InvalidParameter: alpha 1e+300 overflows the marked image's PSNR"]
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ refused.
 import pytest
 
 import svdmark as sm
-from svdmark import invisible
+from svdmark import semiblind
 from svdmark.cli import cli_main
 
 from conftest import seeded_matrix
@@ -144,8 +144,8 @@ class TestCliStrategy:
 def test_perchannel_keyed_embed_masks_once(monkeypatch, identity):
     calls = []
     for name in ("derive_mask", "quantize"):
-        original = getattr(invisible, name)
-        monkeypatch.setattr(invisible, name,
+        original = getattr(semiblind, name)
+        monkeypatch.setattr(semiblind, name,
                             lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     sm.embed_color(sm.synthetic_rgb(24, 24, seed=5), seeded_matrix(3, 24, 24),
                    sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.HASH_CODE, 0.1, identity)

@@ -6,14 +6,20 @@ watermark split across its planes.  Factors are checked once, where they
 become ``SideInfo`` or ``SvdFactors``: an embed's fresh LAPACK factors
 when its side info is built, a key file's when it is loaded, and caller
 data when it is wrapped.  The sweep builds no side info and checks none.
+Every embed, from the library or the CLI, checks its arguments (and the
+CLI its ``--out`` name) before the first SVD, so a refused embed runs
+none.
 """
 
+import math
 import sys
+from functools import partial
 
 import pytest
 
 import svdmark as sm
 from svdmark import matrix
+from svdmark.cli import cli_main
 
 from conftest import seeded_matrix
 
@@ -93,3 +99,72 @@ def test_trust_boundaries_keep_their_checks(orthogonality_checks, tmp_path):
     assert len(orthogonality_checks) == 5
     sm.detect_reference(info.u[:, :20], info.v_w)
     assert len(orthogonality_checks) == 6
+
+
+# Alphas every embed refuses: recovery divides by alpha, so it must be
+# finite and positive.
+BAD_ALPHAS = [0.0, -0.0, -0.1, math.nan, math.inf]
+
+
+def _library_embeds(identity):
+    cover, wm = seeded_matrix(1, 24, 20), seeded_matrix(2, 24, 20)
+    img = sm.synthetic_rgb(24, 20, seed=5)
+    yield "embed", partial(sm.embed, cover, wm)
+    yield "embed_invisible", partial(sm.embed_invisible, cover, wm, identity)
+    for strategy in sm.ChannelStrategy:
+        for scheme in sm.SchemeTag:
+            ident = identity if scheme is sm.SchemeTag.HASH_CODE else None
+            yield (f"embed_color/{strategy.value}/{scheme.value}",
+                   partial(sm.embed_color, img, wm, strategy, scheme, identity=ident))
+
+
+@pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=str)
+def test_library_embed_refuses_alpha_before_any_svd(svd_calls, identity, alpha):
+    for name, enter in _library_embeds(identity):
+        with pytest.raises(sm.InvalidParameter, match="finite and positive"):
+            enter(alpha)
+        assert svd_calls == [], name
+
+
+def _embed_argv(tmp_path, command, cover_ext, out):
+    cover, wm = str(tmp_path / f"cover.{cover_ext}"), str(tmp_path / "wm.pgm")
+    if cover_ext == "ppm":
+        sm.write_ppm(sm.synthetic_rgb(16, 16, seed=5), cover)
+    else:
+        sm.write_pgm(seeded_matrix(1, 16, 16), cover)
+    sm.write_pgm(seeded_matrix(2, 16, 16), wm)
+    ident = ["--id", "alice|8f3a9c"] if command == "embed-hash" else []
+    return [command, "--cover", cover, "--watermark", wm, *ident,
+            "--out", str(tmp_path / out), "--key", str(tmp_path / "key.svdk")]
+
+
+def _refused(tmp_path, capsys, argv, error, inputs):
+    """Run ``argv``: exit 1 with one ``error`` line, and no file but ``inputs``."""
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {error}:") and err.count("\n") == 1, err
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=str)
+@pytest.mark.parametrize("cover_ext", ["pgm", "ppm"])
+@pytest.mark.parametrize("command", ["embed", "embed-hash"])
+def test_cli_embed_refuses_alpha_before_any_svd(svd_calls, tmp_path, capsys,
+                                                command, cover_ext, alpha):
+    argv = _embed_argv(tmp_path, command, cover_ext, f"marked.{cover_ext}")
+    _refused(tmp_path, capsys, [*argv, f"--alpha={alpha}"], "InvalidParameter",
+             [f"cover.{cover_ext}", "wm.pgm"])
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("out", ["m.txt", "m.ppm", "m"])
+@pytest.mark.parametrize("command", ["embed", "embed-hash"])
+def test_grayscale_embed_checks_out_before_any_svd(svd_calls, tmp_path, capsys,
+                                                   command, out):
+    argv = _embed_argv(tmp_path, command, "pgm", out)
+    _refused(tmp_path, capsys, argv, "UnsupportedFormat", ["cover.pgm", "wm.pgm"])
+    assert svd_calls == []
+    # Checked before any input is read, so missing inputs do not matter.
+    for name in ("cover.pgm", "wm.pgm"):
+        (tmp_path / name).unlink()
+    _refused(tmp_path, capsys, argv, "UnsupportedFormat", [])
