@@ -188,12 +188,12 @@ def main():
     worst_sv = 0.0
     for seed in range(100):
         a = np.random.Generator(np.random.PCG64(seed)).uniform(0, 255, (16, 16))
-        sv_mine = sm.svd(a).singular_values
+        sv_mine = sm.svd(a).sigma
         sv_oracle = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
         worst_sv = max(worst_sv, float(np.abs(sv_mine - sv_oracle).max()))
     for seed in range(100, 110):
         a = np.random.Generator(np.random.PCG64(seed)).uniform(0, 255, (256, 256))
-        sv_mine = sm.svd(a).singular_values
+        sv_mine = sm.svd(a).sigma
         sv_oracle = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
         worst_sv = max(worst_sv, float(np.abs(sv_mine - sv_oracle).max()))
     print(f"OBSERVED worst |sv - oracle| = {worst_sv:.3e}")

@@ -72,7 +72,7 @@ from .invisible import (
     recover_masked_bytes,
     verify_invisible,
 )
-from .matrix import SvdFactors, orthogonality_residual, reconstruct, svd
+from .matrix import SvdFactors, orthogonality_residual, svd
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
@@ -98,7 +98,7 @@ __all__ = [
     "extract_invisible", "load_bundle", "load_matrix", "load_sideinfo",
     "luminance_merge", "luminance_split", "normalized_correlation",
     "orthogonality_residual", "psnr", "quantize", "read_float_image", "read_pgm",
-    "read_ppm", "reconstruct", "recover_masked_bytes",
+    "read_ppm", "recover_masked_bytes",
     "recover_principal_components", "resize_bilinear", "resize_nearest",
     "robustness_sweep", "save_bundle", "save_matrix", "save_sideinfo",
     "split_watermark", "svd", "synthetic_image", "synthetic_rgb",

@@ -198,7 +198,9 @@ def _cmd_embed(args):
 
 
 def _cmd_extract(args):
-    if _is_color(args.marked, args.strategy):
+    colour = _is_color(args.marked, args.strategy)
+    write_out = formats._image_writer(args.out)
+    if colour:
         bundle = formats.load_bundle(args.key)
         img = formats.read_ppm(args.marked)
         w_star = color.extract_color(img, bundle, args.strategy or bundle.strategy,
@@ -206,7 +208,7 @@ def _cmd_extract(args):
     else:
         info = formats.load_sideinfo(args.key)
         w_star = invisible._extract_plane(formats.load_matrix(args.marked), info, args.identity)
-    formats.save_matrix(w_star, args.out)
+    write_out(w_star, args.out)
     print(f"extracted={args.out}")
     return EXIT_OK
 
@@ -222,14 +224,15 @@ def _cmd_verify(args):
 
 
 def _cmd_detect_reference(args):
+    write_out = formats._image_writer(args.out) if args.out else None
     info = formats.load_sideinfo(args.key)
     marked = formats.load_matrix(args.marked)
     reference = formats.load_matrix(args.reference)
     semiblind._require_scheme(info, SchemeTag.SEMI_BLIND)
     a_wa_star = semiblind.recover_principal_components(marked, info)
     p_star = semiblind.detect_reference(a_wa_star, svd(reference).v)
-    if args.out:
-        formats.save_matrix(p_star, args.out)
+    if write_out:
+        write_out(p_star, args.out)
     nc = analysis.normalized_correlation(p_star, reference)
     print(f"nc={_fixed6(nc)}")
     return EXIT_OK
@@ -253,8 +256,8 @@ def _cmd_attack(args):
         scale=args.scale,
         seed=seed if "seed" in _ATTACK_PARAMS[kind] else None,
     )
-    formats.save_matrix(analysis.apply_attack(formats.load_matrix(args.input), spec),
-                        args.output)
+    write_out = formats._image_writer(args.output)
+    write_out(analysis.apply_attack(formats.load_matrix(args.input), spec), args.output)
     print(f"attacked={args.output}")
     return EXIT_OK
 

@@ -55,7 +55,8 @@ class RgbImage:
 @dataclass
 class SideInfoBundle:
     """Per-plane side info: one record for single-plane strategies,
-    three (r, g, b order) for per-channel embedding."""
+    three (r, g, b order) for per-channel embedding.  The records share
+    one scheme, alpha, quant, shape and ``v_w``, as one embed gives them."""
 
     strategy: ChannelStrategy
     infos: tuple[SideInfo, ...]
@@ -69,6 +70,11 @@ class SideInfoBundle:
                 f"{self.strategy.value} bundle needs {expected} side info "
                 f"record(s), got {len(self.infos)}"
             )
+        first, *rest = self.infos
+        shared = ("scheme", "alpha", "quant", "rows", "cols")
+        if any(any(getattr(i, k) != getattr(first, k) for k in shared)
+               or not np.array_equal(i.v_w, first.v_w) for i in rest):
+            raise MalformedSideInfo("bundle records must share scheme, alpha, quant, shape and v_w")
 
 
 def luminance_split(img):

@@ -221,7 +221,7 @@ def _sideinfo_from_doc(doc, arrays):
     elif "quant" in doc:
         raise MalformedSideInfo("semi-blind side info must not carry a quant block")
     u = arrays.take("u", rows * rows).reshape(rows, rows)
-    s = arrays.take("s_diag_or_full", min(rows, cols))
+    s = arrays.take("sigma", min(rows, cols))
     v = arrays.take("v", cols * cols).reshape(cols, cols)
     v_w = arrays.take("v_w", cols * cols).reshape(cols, cols)
     return dict(u=u, s=s, v=v, v_w=v_w, alpha=alpha, rows=rows, cols=cols,

@@ -6,6 +6,9 @@ down to a single canonical representative: singular values descending,
 and the sign of each singular-vector pair fixed by the largest-magnitude
 entry of the U column.  Identical input bits always produce identical
 output bits, which is what makes stored side info replayable.
+
+One trust rule: ``svd`` output is valid by construction and built
+unchecked; factors from a caller or a key file are checked on construction.
 """
 
 import numpy as np
@@ -30,57 +33,38 @@ class SvdFactors:
     """Full SVD triple: ``u`` (M x M), ``sigma`` (the min(M, N) singular
     values) and ``v`` (N x N).
 
-    ``sigma`` is the stored form of ``S``: non-negative and
-    non-increasing, and ``u`` and ``v`` are orthogonal within
-    ``ORTHOGONALITY_TOL``.  ``s=`` takes either ``sigma`` or the dense
-    M x N diagonal matrix, whose off-diagonal entries must be exactly
-    zero.  Treat all arrays as read-only.
+    ``sigma`` is the only form of ``S``: non-negative and non-increasing,
+    and ``u`` and ``v`` are orthogonal within ``ORTHOGONALITY_TOL``.
+    ``s=`` takes that vector; any other shape fails with
+    ``DimensionError``.  Treat all arrays as read-only.
     """
 
     def __init__(self, u, s, v):
-        self.u, self.sigma, self.v = _check_svd_triple(u, s, v)
+        u = as_matrix(u, "u")
+        sigma = np.asarray(s, dtype=np.float64)
+        if not np.all(np.isfinite(sigma)):
+            raise InvalidInput("s contains NaN or Inf entries")
+        v = as_matrix(v, "v")
+        m, n = u.shape[0], v.shape[0]
+        if u.shape != (m, m) or v.shape != (n, n) or sigma.shape != (min(m, n),):
+            raise DimensionError(
+                f"factor shapes {u.shape}, {sigma.shape}, {v.shape} do not form a full SVD"
+            )
+        if orthogonality_residual(u) > ORTHOGONALITY_TOL:
+            raise InvalidInput("u is not orthogonal")
+        if orthogonality_residual(v) > ORTHOGONALITY_TOL:
+            raise InvalidInput("v is not orthogonal")
+        if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
+            raise InvalidInput("singular values must be non-negative and non-increasing")
+        self.u, self.sigma, self.v = u, sigma, v
 
-    @property
-    def s(self):
-        """The dense M x N ``S``: a new array on every access, for readers
-        that want the matrix form; the library itself uses ``sigma``."""
-        s = np.zeros((self.u.shape[0], self.v.shape[0]))
-        np.fill_diagonal(s, self.sigma)
-        return s
 
-    @property
-    def singular_values(self):
-        return self.sigma.copy()
-
-
-def _check_svd_triple(u, s, v):
-    """Coerce ``(u, s, v)`` to ``(u, sigma, v)`` holding the ``SvdFactors``
-    invariants, or raise; the one check for factors from any source."""
-    u = as_matrix(u, "u")
-    sigma = np.asarray(s, dtype=np.float64)
-    dense = sigma.ndim != 1
-    if dense:
-        sigma = as_matrix(sigma, "s")
-    elif not np.all(np.isfinite(sigma)):
-        raise InvalidInput("s contains NaN or Inf entries")
-    v = as_matrix(v, "v")
-    m, n = sigma.shape if dense else (u.shape[0], v.shape[0])
-    diag = np.diagonal(sigma) if dense else sigma
-    if u.shape != (m, m) or v.shape != (n, n) or diag.size != min(m, n):
-        raise DimensionError(
-            f"factor shapes {u.shape}, {sigma.shape}, {v.shape} do not form a full SVD"
-        )
-    if orthogonality_residual(u) > ORTHOGONALITY_TOL:
-        raise InvalidInput("u is not orthogonal")
-    if orthogonality_residual(v) > ORTHOGONALITY_TOL:
-        raise InvalidInput("v is not orthogonal")
-    if np.any(diag < 0) or np.any(np.diff(diag) > 0):
-        raise InvalidInput("singular values must be non-negative and non-increasing")
-    # count_nonzero counts neither sign of zero, so this holds exactly
-    # when every off-diagonal entry of a dense ``s`` is zero.
-    if np.count_nonzero(sigma) != np.count_nonzero(diag):
-        raise InvalidInput("s must be diagonal (off-diagonal entries exactly zero)")
-    return u, diag.copy() if dense else sigma, v
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without running ``__init__``'s
+    checks: only for factors valid by construction, such as LAPACK's."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def svd(a):
@@ -94,7 +78,8 @@ def svd(a):
     Returns
     -------
     SvdFactors
-        Factors such that ``u @ s @ v.T`` equals ``a`` up to roundoff.
+        Factors such that ``u @ S @ v.T`` equals ``a`` up to roundoff,
+        where ``S`` is the M x N matrix with ``sigma`` on its diagonal.
 
     The sign ambiguity of each singular-vector pair is resolved by making
     the largest-magnitude entry of every U column non-negative (first
@@ -107,11 +92,7 @@ def svd(a):
     u, sv, vt = np.linalg.svd(a, full_matrices=True)
     v = np.ascontiguousarray(vt.T)
     _canonical_signs(u, v)
-    # LAPACK output holds the SvdFactors invariants by construction, so it
-    # skips __init__; factors from anywhere else go through the checks.
-    f = object.__new__(SvdFactors)
-    f.u, f.sigma, f.v = u, sv, v
-    return f
+    return _trusted(SvdFactors, u=u, sigma=sv, v=v)
 
 
 def _canonical_signs(u, v):
@@ -128,16 +109,6 @@ def _canonical_signs(u, v):
     for j in range(paired, v.shape[1]):
         if v[np.argmax(np.abs(v[:, j])), j] < 0:
             v[:, j] *= -1.0
-
-
-def reconstruct(factors):
-    """Multiply the factors back together: ``u @ s @ v.T``."""
-    u, s, v = factors.u, factors.s, factors.v
-    if u.shape[1] != s.shape[0] or s.shape[1] != v.shape[1]:
-        raise DimensionError(
-            f"cannot multiply factors with shapes {u.shape}, {s.shape}, {v.shape}"
-        )
-    return u @ s @ v.T
 
 
 def orthogonality_residual(m):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidKey, InvalidParameter, MalformedSideInfo
 from .hashstream import derive_mask, quantize, xor_mask
-from .matrix import ORTHOGONALITY_TOL, SvdFactors, as_matrix, orthogonality_residual, svd
+from .matrix import ORTHOGONALITY_TOL, SvdFactors, _trusted, as_matrix, orthogonality_residual, svd
 
 # Default embedding strength; strong enough to survive mild distortion
 # while keeping the marked image visually close to the cover.
@@ -38,7 +38,7 @@ class SchemeTag(str, Enum):
 def _check_alpha(alpha):
     """``alpha`` as a float, or ``InvalidParameter``: recovery divides by
     it, so it must be finite and positive.  The one alpha check, run by
-    ``SideInfo`` (so by every embed and key load) and the sweep."""
+    ``SideInfo`` (so by every key load), the embed core and the sweep."""
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidParameter(f"alpha must be finite and positive, got {alpha}")
@@ -48,12 +48,12 @@ def _check_alpha(alpha):
 class SideInfo(SvdFactors):
     """Everything the detector needs, captured at embed time.
 
-    Stores the exact cover factors (``u``, ``sigma``, ``v``, checked as
-    ``SvdFactors`` are) rather than the cover image: recomputing the SVD
-    later could flip singular-vector signs and break the inversion.
-    ``alpha`` is finite and positive, so the embedding is invertible.
-    Never contains the identity or the derived mask.  Treat as read-only
-    once constructed.
+    Stores the exact cover factors (``u``, ``sigma``, ``v``) rather than
+    the cover image: recomputing the SVD later could flip singular-vector
+    signs and break the inversion.  ``alpha`` is finite and positive, so
+    the embedding is invertible.  Never contains the identity or the
+    derived mask.  Treat as read-only.  Built by a caller or a key load, it
+    runs every ``SvdFactors`` check and more; an embed builds it unchecked.
     """
 
     def __init__(self, u, s, v, v_w, alpha, rows, cols,
@@ -136,7 +136,8 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
 
     The one place that decides between the schemes: the keyed scheme takes
     an identity, and its masked payload is built once and shared by every
-    plane.  Every argument is checked before the first SVD.  Returns
+    plane.  Every argument is checked before the first SVD, and each side
+    info is built unchecked from them and fresh ``svd`` factors.  Returns
     ``(marked_planes, side_infos)``.
     """
     scheme = SchemeTag(scheme)
@@ -155,7 +156,10 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     marked, infos = [], []
     for p in (cover, *planes[1:]):
         f = svd(p)
-        infos.append(SideInfo(f.u, f.sigma, f.v, v_w, alpha, *p.shape, scheme, quant))
+        if not np.all(np.isfinite(f.sigma)):  # LAPACK's rescaling can overflow
+            raise InvalidInput("s contains NaN or Inf entries")
+        infos.append(_trusted(SideInfo, **vars(f), v_w=v_w, alpha=alpha, rows=p.shape[0],
+                              cols=p.shape[1], scheme=scheme, quant=quant))
         marked.append(_mark(f, p, payload, alpha)[0])
     return marked, infos
 

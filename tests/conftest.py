@@ -39,3 +39,10 @@ def identity():
 def seeded_matrix(seed, rows, cols, low=0.0, high=255.0):
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.uniform(low, high, (rows, cols))
+
+
+def dense_s(f):
+    """The M x N ``S`` of factors ``f``: ``f.sigma`` on the diagonal, zeros off it."""
+    s = np.zeros((len(f.u), len(f.v)))
+    np.fill_diagonal(s, f.sigma)
+    return s

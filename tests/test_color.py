@@ -130,7 +130,7 @@ class TestEmbedColor:
             else:
                 want_plane, want = sm.embed_invisible(plane, wm128, ident, 0.1)
             assert np.array_equal(got_plane, want_plane)
-            for name in ("u", "s", "v", "v_w"):
+            for name in ("u", "sigma", "v", "v_w"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert (got.alpha, got.rows, got.cols, got.scheme, got.quant) == \
                 (want.alpha, want.rows, want.cols, want.scheme, want.quant)

@@ -36,7 +36,7 @@ attacks = [sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=2.0, seed=7),
            sm.AttackSpec(kind=sm.AttackKind.RESCALE, scale=0.5)]
 csv = sm.robustness_sweep(cover, wm, [0.05, 0.1, 0.2], attacks).to_csv()
 print(json.dumps({
-    "u": digest(info.u), "s": digest(info.s), "v": digest(info.v),
+    "u": digest(info.u), "s": digest(info.sigma), "v": digest(info.v),
     "v_w": digest(info.v_w), "marked": digest(marked),
     "extracted": digest(sm.extract(marked, info)),
     "marked_hash": digest(marked_h),

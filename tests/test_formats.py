@@ -152,7 +152,7 @@ class TestSideInfoFile:
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
         back = sm.load_sideinfo(str(path))
-        for name in ("u", "s", "v", "v_w"):
+        for name in ("u", "sigma", "v", "v_w"):
             assert getattr(back, name).tobytes() == getattr(info, name).tobytes()
         assert back.alpha == info.alpha
         assert back.scheme is info.scheme
@@ -233,6 +233,19 @@ class TestSideInfoFile:
         with pytest.raises(CodecError):
             sm.load_sideinfo(str(path))
 
+    def test_truncated_key_names_the_array(self, tmp_path, semiblind_info):
+        # Each array is named as the README's layout names it.
+        _, info = semiblind_info
+        path = tmp_path / "key.svdk"
+        sm.save_sideinfo(info, str(path))
+        meta, payload = key_parts(path)
+        end = 0
+        for name in ("u", "sigma", "v", "v_w"):
+            end += getattr(info, name).nbytes
+            write_key_parts(path, meta, payload[: end - 8])
+            with pytest.raises(CodecError, match=f"^key file ends inside {name}$"):
+                sm.load_sideinfo(str(path))
+
     def test_container_layout(self, tmp_path, hash_info):
         _, info = hash_info
         path = tmp_path / "key.json"
@@ -246,7 +259,7 @@ class TestSideInfoFile:
                         "rows": 64, "cols": 64, "s_layout": "diag",
                         "quant": {"lo": info.quant.lo, "hi": info.quant.hi,
                                   "degenerate": info.quant.degenerate}}
-        arrays = (info.u, np.diagonal(info.s), info.v, info.v_w)
+        arrays = (info.u, info.sigma, info.v, info.v_w)
         assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
 
     def test_loaded_arrays_are_aligned_views(self, tmp_path, semiblind_info):
@@ -254,7 +267,7 @@ class TestSideInfoFile:
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
         back = sm.load_sideinfo(str(path))
-        for name in ("u", "s", "v", "v_w"):
+        for name in ("u", "sigma", "v", "v_w"):
             assert getattr(back, name).flags.aligned
         for name in ("u", "v", "v_w"):
             assert not getattr(back, name).flags.owndata
@@ -317,7 +330,7 @@ class TestBundleFile:
         path = tmp_path / "bundle.json"
         sm.save_bundle(bundle, str(path))
         for info in sm.load_bundle(str(path)).infos:
-            assert all(getattr(info, n).flags.aligned for n in ("u", "s", "v", "v_w"))
+            assert all(getattr(info, n).flags.aligned for n in ("u", "sigma", "v", "v_w"))
 
     def test_bundle_rejected_as_single_key(self, tmp_path):
         img = sm.synthetic_rgb(16, 16, seed=11)

@@ -33,7 +33,7 @@ class TestEmbedInvisible:
 
     def test_side_info_never_stores_key_material(self, marked64, identity):
         _, info = marked64
-        blobs = [info.u.tobytes(), info.s.tobytes(), info.v.tobytes(),
+        blobs = [info.u.tobytes(), info.sigma.tobytes(), info.v.tobytes(),
                  info.v_w.tobytes()]
         mask = sm.derive_mask(identity, 64, 64).tobytes()
         assert all(mask not in blob for blob in blobs)

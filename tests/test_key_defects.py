@@ -8,17 +8,22 @@ same class through ``load_sideinfo``, and through ``load_bundle`` when
 it sits in one of a bundle's records.
 An embed refuses an alpha of 0 with the loaders' error, so no key is
 written that no loader takes back.
+A colour bundle's records must agree on everything one embed gives them
+all (scheme, alpha, quant, shape and ``v_w``), or the bundle is refused
+when it is built, so at load time and not first at extraction.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import svdmark as sm
+from svdmark.cli import cli_main
 from svdmark.errors import InvalidParameter, MalformedSideInfo
 
 from conftest import seeded_matrix
-from keyfiles import rewrite_key_metadata
+from keyfiles import key_parts, rewrite_key_metadata, write_key_parts
 
 ROWS, COLS = 10, 8
 QUANT = {"lo": -1.0, "hi": 2.0, "degenerate": False}
@@ -144,3 +149,68 @@ def test_alpha_zero_is_not_written(tmp_path, infos, alpha):
     with pytest.raises(InvalidParameter) as loading:
         sm.load_sideinfo(str(path))
     assert str(embedding.value) == str(loading.value)
+
+
+# Bytes of one key record's arrays (u, sigma, v, v_w) and of its v_w.
+RECORD_BYTES = 8 * (ROWS * ROWS + min(ROWS, COLS) + 2 * COLS * COLS)
+V_W_BYTES = 8 * COLS * COLS
+
+
+def _negate_second_v_w(payload):
+    # -v_w is as orthogonal as v_w, so only the bundle check can refuse it.
+    end = 2 * RECORD_BYTES
+    v_w = np.frombuffer(payload[end - V_W_BYTES : end], dtype="<f8")
+    return payload[: end - V_W_BYTES] + (-v_w).astype("<f8").tobytes() + payload[end:]
+
+
+# Per-channel bundles whose second record differs from the other two:
+# (the bundle's scheme, a change to that record's metadata, a change to
+# the payload).
+MIXED_RECORDS = {
+    "scheme": (sm.SchemeTag.SEMI_BLIND,
+               lambda r: r.update(scheme_tag="hash-code", alpha=0.5, quant=QUANT), None),
+    "alpha": (sm.SchemeTag.SEMI_BLIND, _set("alpha", 0.5), None),
+    "quant": (sm.SchemeTag.HASH_CODE, _set("quant", QUANT), None),
+    "v_w": (sm.SchemeTag.SEMI_BLIND, lambda r: None, _negate_second_v_w),
+}
+
+
+@pytest.fixture(scope="module")
+def colour():
+    img = sm.synthetic_rgb(ROWS, COLS, seed=3)
+    wm = seeded_matrix(2, ROWS, COLS)
+    identity = sm.Identity.from_string("alice|key-defects")
+    bundles = {}
+    for scheme in sm.SchemeTag:
+        ident = identity if scheme is sm.SchemeTag.HASH_CODE else None
+        bundles[scheme] = sm.embed_color(img, wm, sm.ChannelStrategy.PER_CHANNEL, scheme,
+                                         alpha=0.1, identity=ident)[1]
+    return img, bundles
+
+
+@pytest.mark.parametrize("defect", list(MIXED_RECORDS))
+def test_bundle_with_disagreeing_records(tmp_path, capsys, colour, defect):
+    img, bundles = colour
+    scheme, mutate, edit_payload = MIXED_RECORDS[defect]
+    path = tmp_path / "bundle.svdk"
+    sm.save_bundle(bundles[scheme], str(path))
+    assert sm.load_bundle(str(path)).infos[1].scheme is scheme
+    meta, payload = key_parts(path)
+    mutate(meta["infos"][1])
+    write_key_parts(path, meta, edit_payload(payload) if edit_payload else payload)
+    with pytest.raises(MalformedSideInfo, match="must share"):
+        sm.load_bundle(str(path))
+    marked = str(tmp_path / "marked.ppm")
+    sm.write_ppm(img, marked)
+    assert cli_main(["extract", "--marked", marked, "--key", str(path),
+                     "--out", str(tmp_path / "w.pgm")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: MalformedSideInfo:") and err.count("\n") == 1
+    assert not (tmp_path / "w.pgm").exists()
+
+
+def test_bundle_records_of_two_shapes(infos):
+    info = infos[sm.SchemeTag.SEMI_BLIND]
+    other = sm.embed(seeded_matrix(1, COLS, ROWS), seeded_matrix(2, COLS, ROWS), 0.1)[1]
+    with pytest.raises(MalformedSideInfo, match="must share"):
+        sm.SideInfoBundle(sm.ChannelStrategy.PER_CHANNEL, (info, other, info))

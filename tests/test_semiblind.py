@@ -56,7 +56,7 @@ class TestEmbed:
         marked, info = sm.embed(cover64, watermark64, 0.1)
         f = sm.svd(cover64)
         assert np.array_equal(info.u, f.u)
-        assert np.array_equal(info.s, f.s)
+        assert np.array_equal(info.sigma, f.sigma)
         assert np.array_equal(info.v, f.v)
         assert info.scheme is sm.SchemeTag.SEMI_BLIND
         assert info.quant is None
@@ -160,30 +160,30 @@ class TestSideInfoValidation:
     def test_quant_required_for_hash(self, cover64, watermark64):
         _, info = sm.embed(cover64, watermark64, 0.1)
         with pytest.raises(MalformedSideInfo):
-            sm.SideInfo(u=info.u, s=info.s, v=info.v, v_w=info.v_w, alpha=0.1,
+            sm.SideInfo(u=info.u, s=info.sigma, v=info.v, v_w=info.v_w, alpha=0.1,
                         rows=64, cols=64, scheme=sm.SchemeTag.HASH_CODE, quant=None)
 
     def test_quant_forbidden_for_semiblind(self, cover64, watermark64):
         _, info = sm.embed(cover64, watermark64, 0.1)
         with pytest.raises(MalformedSideInfo):
-            sm.SideInfo(u=info.u, s=info.s, v=info.v, v_w=info.v_w, alpha=0.1,
+            sm.SideInfo(u=info.u, s=info.sigma, v=info.v, v_w=info.v_w, alpha=0.1,
                         rows=64, cols=64, scheme=sm.SchemeTag.SEMI_BLIND,
                         quant=sm.QuantParams(0.0, 1.0))
 
     def test_rejects_non_orthogonal_factors(self, cover64, watermark64):
         _, info = sm.embed(cover64, watermark64, 0.1)
         with pytest.raises(InvalidInput):
-            sm.SideInfo(u=np.full((64, 64), 0.1), s=info.s, v=info.v, v_w=info.v_w,
+            sm.SideInfo(u=np.full((64, 64), 0.1), s=info.sigma, v=info.v, v_w=info.v_w,
                         alpha=0.1, rows=64, cols=64)
 
     def test_rejects_negative_alpha(self, cover64, watermark64):
         _, info = sm.embed(cover64, watermark64, 0.1)
         with pytest.raises(InvalidParameter):
-            sm.SideInfo(u=info.u, s=info.s, v=info.v, v_w=info.v_w, alpha=-1.0,
+            sm.SideInfo(u=info.u, s=info.sigma, v=info.v, v_w=info.v_w, alpha=-1.0,
                         rows=64, cols=64)
 
     @pytest.mark.parametrize("corruption", [
-        "v_w-entry", "non-diagonal-s", "unsorted-s", "negative-s",
+        "v_w-entry", "unsorted-s", "negative-s",
     ])
     def test_rejects_corrupt_factors(self, cover64, watermark64, corruption):
         _, info = sm.embed(cover64, watermark64, 0.1)
@@ -207,16 +207,14 @@ class TestSideInfoValidation:
 
 
 def _corrupt(info, corruption):
-    """Copies of ``info.s`` and ``info.v_w`` with one structural fault."""
-    s, v_w = info.s.copy(), info.v_w.copy()
+    """Copies of ``info.sigma`` and ``info.v_w`` with one structural fault."""
+    s, v_w = info.sigma.copy(), info.v_w.copy()
     if corruption == "v_w-entry":
         v_w[0, 0] += 5.0
-    elif corruption == "non-diagonal-s":
-        s[0, 1] = 3.0
     elif corruption == "unsorted-s":
-        s[0, 0], s[1, 1] = s[1, 1], s[0, 0]
+        s[0], s[1] = s[1], s[0]
     elif corruption == "negative-s":
-        s[-1, -1] = -1.0
+        s[-1] = -1.0
     return s, v_w
 
 
@@ -237,3 +235,16 @@ def test_embed_rejects_alpha_overflowing_squared_error():
         sm.embed(cover, wm, 1e155)
     marked, _ = sm.embed(cover, wm, 1e150)
     assert np.isfinite(sm.psnr(cover, marked))
+
+
+# LAPACK scales the singular values back up after the SVD, so a finite
+# cover near the float64 limit can overflow them; an embed, which builds
+# its side info from those factors unchecked, refuses them first.
+@pytest.mark.parametrize("shape", [(4, 3), (8, 8)])
+def test_embed_rejects_cover_whose_singular_values_overflow(identity, shape):
+    cover, wm = np.full(shape, 1e308), seeded_matrix(2, *shape)
+    assert not np.all(np.isfinite(sm.svd(cover).sigma))
+    with pytest.raises(InvalidInput, match="^s contains NaN or Inf entries$"):
+        sm.embed(cover, wm, 0.1)
+    with pytest.raises(InvalidInput, match="^s contains NaN or Inf entries$"):
+        sm.embed_invisible(cover, wm, identity, 0.1)

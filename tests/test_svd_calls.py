@@ -2,13 +2,16 @@
 
 The cover and watermark factors are computed once per operation: a sweep
 shares them across its alphas and a per-channel color embed shares the
-watermark split across its planes.  Factors are checked once, where they
-become ``SideInfo`` or ``SvdFactors``: an embed's fresh LAPACK factors
-when its side info is built, a key file's when it is loaded, and caller
-data when it is wrapped.  The sweep builds no side info and checks none.
+watermark split across its planes.  Factors have one trust rule: fresh
+LAPACK factors hold the invariants by construction, so an embed builds
+its side info from them with no orthogonality check, and the sweep
+checks none either.  Factors from outside are checked once, where they
+enter: a key file's when it is loaded, caller data when it is wrapped,
+and a reference basis in ``detect_reference``.
 Every embed, from the library or the CLI, checks its arguments (and the
 CLI its ``--out`` name) before the first SVD, so a refused embed runs
-none.
+none.  Every other command that writes an image checks that path before
+it reads any input, so a refused one does no work either.
 """
 
 import math
@@ -73,12 +76,13 @@ def test_color_embed_svd_count(svd_calls, identity, scheme, strategy, expected):
     assert len(svd_calls) == expected
 
 
-def test_embed_checks_side_info_factors_once(orthogonality_checks, identity):
+def test_embed_trusts_fresh_factors(orthogonality_checks, identity):
     cover, wm = seeded_matrix(1, 24, 20), seeded_matrix(2, 24, 20)
     sm.embed(cover, wm, 0.1)
-    assert len(orthogonality_checks) == 3  # u, v and v_w, in SideInfo
     sm.embed_invisible(cover, wm, identity, 0.1)
-    assert len(orthogonality_checks) == 6
+    sm.embed_color(sm.synthetic_rgb(24, 20, seed=5), wm, sm.ChannelStrategy.PER_CHANNEL,
+                   sm.SchemeTag.SEMI_BLIND, alpha=0.1)
+    assert orthogonality_checks == []
 
 
 def test_sweep_checks_no_factors(orthogonality_checks):
@@ -95,7 +99,7 @@ def test_trust_boundaries_keep_their_checks(orthogonality_checks, tmp_path):
     del orthogonality_checks[:]
     sm.load_sideinfo(path)
     assert len(orthogonality_checks) == 3
-    sm.SvdFactors(u=info.u, s=info.s, v=info.v)
+    sm.SvdFactors(u=info.u, s=info.sigma, v=info.v)
     assert len(orthogonality_checks) == 5
     sm.detect_reference(info.u[:, :20], info.v_w)
     assert len(orthogonality_checks) == 6
@@ -166,5 +170,38 @@ def test_grayscale_embed_checks_out_before_any_svd(svd_calls, tmp_path, capsys,
     assert svd_calls == []
     # Checked before any input is read, so missing inputs do not matter.
     for name in ("cover.pgm", "wm.pgm"):
+        (tmp_path / name).unlink()
+    _refused(tmp_path, capsys, argv, "UnsupportedFormat", [])
+
+
+def _work_argv(tmp_path, command, out):
+    """Inputs for ``command`` and its argv, with ``out`` as the image it writes."""
+    cover, wm = seeded_matrix(1, 16, 16), seeded_matrix(2, 16, 16)
+    marked, key, source = (str(tmp_path / n) for n in ("marked.svdf", "key.svdk", "in.pgm"))
+    sm.write_pgm(cover, source)
+    out = str(tmp_path / out)
+    if command == "attack":
+        return ["attack", "--input", source, "--output", out, "--kind", "quantize-8bit"]
+    ident = ["--id", "alice|8f3a9c"] if command == "extract-hash" else []
+    if ident:
+        m, info = sm.embed_invisible(cover, wm, sm.Identity.from_string(ident[1]), 0.1)
+    else:
+        m, info = sm.embed(cover, wm, 0.1)
+    sm.write_float_image(m, marked)
+    sm.save_sideinfo(info, key)
+    argv = [command, "--marked", marked, "--key", key, *ident, "--out", out]
+    return argv + (["--reference", source] if command == "detect-reference" else [])
+
+
+@pytest.mark.parametrize("out", ["m.txt", "m.ppm", "m"])
+@pytest.mark.parametrize("command", ["extract", "extract-hash", "detect-reference", "attack"])
+def test_output_path_checked_before_any_work(svd_calls, tmp_path, capsys, command, out):
+    argv = _work_argv(tmp_path, command, out)
+    inputs = sorted(f.name for f in tmp_path.iterdir())
+    del svd_calls[:]
+    _refused(tmp_path, capsys, argv, "UnsupportedFormat", inputs)
+    assert svd_calls == []
+    # Checked before any input is read, so missing inputs do not matter.
+    for name in inputs:
         (tmp_path / name).unlink()
     _refused(tmp_path, capsys, argv, "UnsupportedFormat", [])

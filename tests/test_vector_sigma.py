@@ -1,9 +1,11 @@
 """Singular values carried as a vector.
 
-``SvdFactors`` and ``SideInfo`` store ``sigma``, the min(M, N) singular
-values; ``s`` is a dense M x N copy derived from it.  Both constructors
-take ``s=`` as the vector or as the dense diagonal matrix, and check
-either form the same way.
+``SvdFactors`` and ``SideInfo`` hold ``sigma``, the min(M, N) singular
+values, as the only form of ``S``.  Their constructors take ``s=`` as
+that vector; a dense M x N ``S`` fails with ``DimensionError``, so tests
+that want the matrix build it from ``sigma`` (``conftest.dense_s``).
+An embed builds its ``SideInfo`` unchecked from fresh factors, and that
+must be the object the checking constructor builds from the same values.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 import svdmark as sm
 from svdmark.errors import DimensionError, InvalidInput
 
-from conftest import seeded_matrix
+from conftest import dense_s, seeded_matrix
 
 SHAPES = [(24, 24), (48, 64), (64, 48), (1, 40), (40, 1)]
 
@@ -23,16 +25,16 @@ def _rank_deficient(rows, cols, rank, seed):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_factors_from_vector_match_dense(shape):
-    f = sm.svd(seeded_matrix(1, *shape))
+    a = seeded_matrix(1, *shape)
+    f = sm.svd(a)
     assert f.sigma.shape == (min(shape),)
-    from_vector = sm.SvdFactors(u=f.u, s=f.sigma, v=f.v)
-    from_dense = sm.SvdFactors(u=f.u, s=f.s, v=f.v)
-    for g in (from_vector, from_dense):
-        assert g.sigma.tobytes() == f.sigma.tobytes()
-        assert g.s.tobytes() == f.s.tobytes()
-        assert g.s.shape == shape
-    assert np.array_equal(np.diagonal(f.s), f.sigma)
-    assert np.count_nonzero(f.s) == np.count_nonzero(f.sigma)
+    g = sm.SvdFactors(u=f.u, s=f.sigma, v=f.v)
+    assert vars(g).keys() == vars(f).keys()
+    for name in ("u", "sigma", "v"):
+        assert getattr(g, name).tobytes() == getattr(f, name).tobytes()
+    np.testing.assert_allclose(g.u @ dense_s(g) @ g.v.T, a, rtol=0, atol=1e-10 * a.max())
+    with pytest.raises(DimensionError, match="do not form a full SVD"):
+        sm.SvdFactors(u=f.u, s=dense_s(f), v=f.v)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -41,17 +43,37 @@ def test_side_info_from_vector_matches_dense(shape):
     _, info = sm.embed(cover, wm, 0.1)
     args = dict(u=info.u, v=info.v, v_w=info.v_w, alpha=0.1, rows=shape[0], cols=shape[1])
     from_vector = sm.SideInfo(s=info.sigma, **args)
-    from_dense = sm.SideInfo(s=info.s, **args)
     assert isinstance(info, sm.SvdFactors)
-    assert from_vector.s.tobytes() == from_dense.s.tobytes() == info.s.tobytes()
-    assert from_vector.sigma.tobytes() == from_dense.sigma.tobytes()
+    assert from_vector.sigma.tobytes() == info.sigma.tobytes()
+    np.testing.assert_allclose(info.u @ dense_s(info) @ info.v.T, cover, rtol=0,
+                               atol=1e-10 * cover.max())
+    with pytest.raises(DimensionError, match="do not form a full SVD"):
+        sm.SideInfo(s=dense_s(info), **args)
 
 
-def test_dense_s_is_a_fresh_copy():
-    f = sm.svd(seeded_matrix(3, 6, 4))
-    s = f.s
-    s[0, 0] = -1.0
-    assert f.sigma[0] > 0 and f.s[0, 0] == f.sigma[0]
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+def test_embed_side_info_matches_checked_constructor(identity, scheme, shape):
+    cover, wm = seeded_matrix(1, *shape), seeded_matrix(2, *shape)
+    keyed = scheme is sm.SchemeTag.HASH_CODE
+    if keyed:
+        _, info = sm.embed_invisible(cover, wm, identity, 0.1)
+    else:
+        _, info = sm.embed(cover, wm, 0.1)
+    f = sm.svd(cover)
+    a_wa, v_w = sm.split_watermark(wm)
+    checked = sm.SideInfo(u=f.u, s=f.sigma, v=f.v, v_w=v_w, alpha=0.1, rows=shape[0],
+                          cols=shape[1], scheme=scheme,
+                          quant=sm.quantize(a_wa)[1] if keyed else None)
+    got, want = vars(info), vars(checked)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert type(got[name]) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert got[name].shape == value.shape, name
+            assert got[name].tobytes() == value.tobytes(), name
+        else:
+            assert got[name] == value, name
 
 
 @pytest.mark.parametrize("length", [0, 3, 5])
@@ -76,13 +98,6 @@ def test_bad_sigma_rejected(sigma):
     with pytest.raises(InvalidInput):
         sm.SideInfo(u=np.eye(3), s=sigma, v=np.eye(3), v_w=np.eye(3), alpha=0.1,
                     rows=3, cols=3)
-
-
-def test_negative_zero_off_diagonal_accepted():
-    s = np.diag([2.0, 1.0])
-    s[0, 1] = -0.0
-    f = sm.SvdFactors(u=np.eye(2), s=s, v=np.eye(2))
-    assert f.sigma.tolist() == [2.0, 1.0]
 
 
 def test_loaded_sigma_is_an_aligned_view(tmp_path, cover64, watermark64):
@@ -121,6 +136,6 @@ def test_bundle_sigma_is_an_aligned_view(tmp_path):
 def test_split_watermark_matches_dense_product(w):
     f = sm.svd(w)
     a_wa, v_w = sm.split_watermark(w)
-    assert a_wa.tobytes() == (f.u @ f.s).tobytes()
+    assert a_wa.tobytes() == (f.u @ dense_s(f)).tobytes()
     assert a_wa.shape == w.shape and a_wa.flags.c_contiguous
     assert v_w.tobytes() == f.v.tobytes()
