@@ -12,7 +12,8 @@ command that fails, or succeeds but writes to stderr, stops the demo, as
 does a deliberately bad command that is not refused with exactly its one
 expected error line: an option its subcommand does not take, an image
 passed as the key, an embed whose key cannot be written and one whose
-marked image has no writer, both of which must leave no file behind.
+marked image has no writer, both of which must leave no file behind, and
+a reference of the wrong shape for reference detection.
 
     python scripts/demo_workflow.py [output-dir]
 """
@@ -54,7 +55,7 @@ def main():
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp())
     out_dir.mkdir(parents=True, exist_ok=True)
     p = {name: str(out_dir / name) for name in (
-        "cover.pgm", "watermark.pgm", "reference.pgm",
+        "cover.pgm", "watermark.pgm", "reference.pgm", "reference_128.pgm",
         "marked.svdf", "marked.pgm", "key.svdk", "extracted.pgm",
         "marked0.svdf", "key0.svdk", "marked.txt", "key_txt.svdk",
         "marked_keyed.svdf", "key_keyed.svdk", "extracted_keyed.svdf",
@@ -68,6 +69,8 @@ def main():
                  p["watermark.pgm"])
     sm.write_pgm(sm.synthetic_image(256, 256, 3000, roughness=1.9, contrast=55.0),
                  p["reference.pgm"])
+    sm.write_pgm(sm.synthetic_image(128, 128, 3000, roughness=1.9, contrast=55.0),
+                 p["reference_128.pgm"])
     sm.write_ppm(sm.synthetic_rgb(256, 256, 4004), p["cover.ppm"])
 
     print("-- semi-blind scheme --")
@@ -102,6 +105,10 @@ def main():
         "--reference", p["watermark.pgm"])
     cli("detect-reference", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
         "--reference", p["reference.pgm"])
+    print("a reference must have the key's shape, checked before its SVD:")
+    cli_error("error: DimensionError",
+              "detect-reference", "--marked", p["marked.svdf"], "--key", p["key.svdk"],
+              "--reference", p["reference_128.pgm"])
 
     print("\n-- keyed invisible scheme --")
     cli("embed-hash", "--cover", p["cover.pgm"], "--watermark", p["watermark.pgm"],

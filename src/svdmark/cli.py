@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, color, formats, invisible, semiblind
 from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
-from .errors import WatermarkError
+from .errors import DimensionError, WatermarkError
 from .hashstream import Identity
 from .matrix import svd
 from .semiblind import DEFAULT_ALPHA, SchemeTag
@@ -229,6 +229,9 @@ def _cmd_detect_reference(args):
     marked = formats.load_matrix(args.marked)
     reference = formats.load_matrix(args.reference)
     semiblind._require_scheme(info, SchemeTag.SEMI_BLIND)
+    if reference.shape != (info.rows, info.cols):  # checked before the reference's SVD
+        raise DimensionError(f"reference {reference.shape} does not match side info "
+                             f"{(info.rows, info.cols)}")
     a_wa_star = semiblind.recover_principal_components(marked, info)
     p_star = semiblind.detect_reference(a_wa_star, svd(reference).v)
     if write_out:

@@ -6,6 +6,13 @@ clips, which counts as distortion for the extraction algebra.  SVDF and
 SVDK store raw float64 payloads so file round-trips are bit-exact.
 Writers never leave partial files behind: output goes to a temp file in
 the target directory and is moved into place at the end.
+
+Single keys and colour bundles share one SVDK layout, with one reader
+and one writer: the header (magic, version 3, metadata length), one flat
+JSON object (``scheme_tag``, ``alpha``, ``rows``, ``cols``, ``quant`` for
+the keyed scheme, ``strategy`` for a bundle), then each record's ``u``,
+``sigma`` and ``v`` and, once, the ``v_w`` every record shares.  A
+``perchannel`` bundle has 3 records, any other key 1.
 """
 
 import json
@@ -32,7 +39,7 @@ SVDF_VERSION = 1
 SVDF_HEADER = struct.Struct("<4sHII")
 
 KEY_MAGIC = b"SVDK"
-KEY_VERSION = 2
+KEY_VERSION = 3
 KEY_HEADER = struct.Struct("<4sHI")
 
 _PNM_MAGICS = {b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"}
@@ -149,95 +156,27 @@ def write_float_image(m, path):
     _atomic_write(path, header + np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 
-class _KeyArrays:
-    """A key's arrays, taken record by record in file order: views of an
-    SVDK key's raw little-endian float64 payload from ``offset`` on."""
-
-    def __init__(self, data, offset):
-        self.data, self.offset = data, offset
-
-    def take(self, field, count):
-        end = self.offset + 8 * count
-        if end > len(self.data):
-            raise CodecError(f"key file ends inside {field}")
-        # An aligned offset into a bytes object gives aligned views, so
-        # numpy hands matmuls on them to BLAS as on the arrays saved.
-        arr = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.offset)
-        self.offset = end
-        return arr
-
-    def finish(self):
-        if self.offset != len(self.data):
-            raise CodecError(f"key file is {len(self.data)} bytes, not {self.offset}")
-
-
-def _sideinfo_meta(info):
-    meta = {
-        "version": KEY_VERSION,
-        "scheme_tag": info.scheme.value,
-        "alpha": info.alpha,
-        "rows": info.rows,
-        "cols": info.cols,
-        "s_layout": "diag",
-    }
-    if info.quant is not None:
-        meta["quant"] = vars(info.quant)
-    return meta
-
-
-def _sideinfo_from_doc(doc, arrays):
-    """Check one key record and take its arrays: the ``SideInfo``
-    arguments."""
-    if not isinstance(doc, dict):
-        raise MalformedSideInfo("key record must be a JSON object")
-    if doc.get("version") != KEY_VERSION:
-        raise UnsupportedVersion(f"side info version {doc.get('version')} is not supported")
-    try:
-        scheme = SchemeTag(doc["scheme_tag"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedSideInfo(f"unknown scheme_tag {doc.get('scheme_tag')!r}") from exc
-    try:
-        alpha = float(doc["alpha"])
-        rows = int(doc["rows"])
-        cols = int(doc["cols"])
-        s_layout = doc["s_layout"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
-    # SideInfo checks the rest, but cannot tell "quant": null from no
-    # quant block.
-    if rows < 1 or cols < 1:
-        raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
-    if s_layout != "diag":
-        raise MalformedSideInfo(f"unknown s_layout {s_layout!r}")
-    quant = None
-    if scheme is SchemeTag.HASH_CODE:
-        q = doc.get("quant")
-        try:
-            quant = QuantParams(
-                lo=float(q["lo"]), hi=float(q["hi"]), degenerate=bool(q["degenerate"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedSideInfo(f"missing or malformed quant block: {exc}") from exc
-    elif "quant" in doc:
-        raise MalformedSideInfo("semi-blind side info must not carry a quant block")
-    u = arrays.take("u", rows * rows).reshape(rows, rows)
-    s = arrays.take("sigma", min(rows, cols))
-    v = arrays.take("v", cols * cols).reshape(cols, cols)
-    v_w = arrays.take("v_w", cols * cols).reshape(cols, cols)
-    return dict(u=u, s=s, v=v, v_w=v_w, alpha=alpha, rows=rows, cols=cols,
-                scheme=scheme, quant=quant)
-
-
-def _write_key(path, meta, infos):
+def _write_key(path, infos, strategy=None):
+    """Write side info records to an SVDK key: what they share once, from
+    the first record, then each record's ``u``, ``sigma`` and ``v``, then
+    the shared ``v_w``."""
+    first = infos[0]
+    meta = {"scheme_tag": first.scheme.value, "alpha": first.alpha,
+            "rows": first.rows, "cols": first.cols}
+    if first.quant is not None:
+        meta["quant"] = vars(first.quant)
+    if strategy is not None:
+        meta["strategy"] = strategy.value
     text = json.dumps(meta, sort_keys=True).encode("ascii")
     text += b" " * (-(KEY_HEADER.size + len(text)) % 8)  # align the payload
-    arrays = [np.ascontiguousarray(a, dtype="<f8")
-              for i in infos for a in (i.u, i.sigma, i.v, i.v_w)]
-    _atomic_write(path, KEY_HEADER.pack(KEY_MAGIC, KEY_VERSION, len(text)), text, *arrays)
+    arrays = [a for i in infos for a in (i.u, i.sigma, i.v)] + [first.v_w]
+    _atomic_write(path, KEY_HEADER.pack(KEY_MAGIC, KEY_VERSION, len(text)), text,
+                  *(np.ascontiguousarray(a, dtype="<f8") for a in arrays))
 
 
-def _read_key(path):
-    """Read a key file once: its metadata and the source of its arrays."""
+def _read_key(path, bundle):
+    """Read and check a key file once: a bundle's strategy (``None`` for a
+    single key) and the ``SideInfo`` records it holds."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != KEY_MAGIC:
@@ -256,48 +195,77 @@ def _read_key(path):
         raise CodecError(f"key metadata is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise MalformedSideInfo("key metadata root must be a JSON object")
-    return meta, _KeyArrays(data, start)
+    if ("strategy" in meta) != bundle:  # the wrong kind, refused before any record is built
+        raise MalformedSideInfo("not a color key bundle (no strategy)" if bundle
+                                else "this is a color key bundle; load it as a bundle")
+    strategy = None
+    if bundle:
+        try:
+            strategy = ChannelStrategy(meta["strategy"])
+        except ValueError as exc:
+            raise MalformedSideInfo(f"unknown strategy {meta['strategy']!r}") from exc
+    try:
+        scheme = SchemeTag(meta["scheme_tag"])
+    except (KeyError, ValueError) as exc:
+        raise MalformedSideInfo(f"unknown scheme_tag {meta.get('scheme_tag')!r}") from exc
+    try:
+        alpha, rows, cols = float(meta["alpha"]), int(meta["rows"]), int(meta["cols"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
+    # SideInfo checks the rest, but cannot tell "quant": null from no
+    # quant block.
+    if rows < 1 or cols < 1:
+        raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
+    quant = None
+    if scheme is SchemeTag.HASH_CODE:
+        q = meta.get("quant")
+        try:
+            quant = QuantParams(
+                lo=float(q["lo"]), hi=float(q["hi"]), degenerate=bool(q["degenerate"])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedSideInfo(f"missing or malformed quant block: {exc}") from exc
+    elif "quant" in meta:
+        raise MalformedSideInfo("semi-blind side info must not carry a quant block")
+    records = 3 if strategy is ChannelStrategy.PER_CHANNEL else 1
+    sizes = [("u", rows * rows), ("sigma", min(rows, cols)), ("v", cols * cols)] * records
+    arrays, offset = [], start
+    for field, count in (*sizes, ("v_w", cols * cols)):
+        if offset + 8 * count > len(data):
+            raise CodecError(f"key file ends inside {field}")
+        # An aligned offset into a bytes object gives aligned views, so
+        # numpy hands matmuls on them to BLAS as on the arrays saved.
+        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset))
+        offset += 8 * count
+    if offset != len(data):
+        raise CodecError(f"key file is {len(data)} bytes, not {offset}")
+    v_w = arrays.pop().reshape(cols, cols)
+    return strategy, tuple(
+        SideInfo(u.reshape(rows, rows), s, v.reshape(cols, cols), v_w, alpha, rows, cols,
+                 scheme, quant)
+        for u, s, v in zip(*[iter(arrays)] * 3))
 
 
 def save_sideinfo(info, path):
     """Write side info to an SVDK key file (arrays bit-exact)."""
-    _write_key(path, _sideinfo_meta(info), [info])
+    _write_key(path, [info])
 
 
 def load_sideinfo(path):
     """Load and validate a key file written by :func:`save_sideinfo`."""
-    doc, arrays = _read_key(path)
-    if "infos" in doc:
-        raise MalformedSideInfo("this is a color key bundle; load it as a bundle")
-    fields = _sideinfo_from_doc(doc, arrays)
-    arrays.finish()
-    return SideInfo(**fields)
+    _, (info,) = _read_key(path, bundle=False)
+    return info
 
 
 def save_bundle(bundle, path):
     """Write a color key bundle (strategy plus per-plane side info)."""
-    meta = {
-        "version": KEY_VERSION,
-        "strategy": bundle.strategy.value,
-        "infos": [_sideinfo_meta(info) for info in bundle.infos],
-    }
-    _write_key(path, meta, bundle.infos)
+    _write_key(path, bundle.infos, bundle.strategy)
 
 
 def load_bundle(path):
     """Load a color key bundle written by :func:`save_bundle`."""
-    doc, arrays = _read_key(path)
-    if doc.get("version") != KEY_VERSION:
-        raise UnsupportedVersion(f"bundle version {doc.get('version')} is not supported")
-    if not isinstance(doc.get("infos"), list):
-        raise MalformedSideInfo("not a color key bundle (no infos list)")
-    try:
-        strategy = ChannelStrategy(doc["strategy"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedSideInfo(f"unknown strategy {doc.get('strategy')!r}") from exc
-    fields = [_sideinfo_from_doc(d, arrays) for d in doc["infos"]]
-    arrays.finish()
-    return SideInfoBundle(strategy=strategy, infos=tuple(SideInfo(**f) for f in fields))
+    strategy, infos = _read_key(path, bundle=True)
+    return SideInfoBundle(strategy=strategy, infos=infos)
 
 
 def load_matrix(path):

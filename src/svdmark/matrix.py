@@ -8,7 +8,8 @@ entry of the U column.  Identical input bits always produce identical
 output bits, which is what makes stored side info replayable.
 
 One trust rule: ``svd`` output is valid by construction and built
-unchecked; factors from a caller or a key file are checked on construction.
+unchecked, once its singular values are known to be finite; factors from
+a caller or a key file are checked on construction.
 """
 
 import numpy as np
@@ -86,10 +87,14 @@ def svd(a):
     occurrence wins ties) and flipping the paired V column to compensate.
     Unpaired columns (when the input is rectangular) get the same rule
     applied directly.  The call is deterministic: identical input bits
-    yield identical output bits.
+    yield identical output bits.  LAPACK scales the singular values back
+    up after the decomposition, so a finite input near the float64 limit
+    can overflow them; such an input fails with ``InvalidInput``.
     """
     a = as_matrix(a, "a")
     u, sv, vt = np.linalg.svd(a, full_matrices=True)
+    if not np.all(np.isfinite(sv)):  # LAPACK's rescaling can overflow
+        raise InvalidInput("s contains NaN or Inf entries")
     v = np.ascontiguousarray(vt.T)
     _canonical_signs(u, v)
     return _trusted(SvdFactors, u=u, sigma=sv, v=v)

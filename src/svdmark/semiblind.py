@@ -156,8 +156,6 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     marked, infos = [], []
     for p in (cover, *planes[1:]):
         f = svd(p)
-        if not np.all(np.isfinite(f.sigma)):  # LAPACK's rescaling can overflow
-            raise InvalidInput("s contains NaN or Inf entries")
         infos.append(_trusted(SideInfo, **vars(f), v_w=v_w, alpha=alpha, rows=p.shape[0],
                               cols=p.shape[1], scheme=scheme, quant=quant))
         marked.append(_mark(f, p, payload, alpha)[0])

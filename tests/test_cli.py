@@ -11,7 +11,7 @@ from svdmark.cli import cli_main
 
 import thresholds as th
 from conftest import make_cover, make_reference, make_watermark
-from keyfiles import V1_KEYS, key_parts, rewrite_key_metadata, write_key_parts
+from keyfiles import V1_KEYS, key_parts, rewrite_key_metadata, write_key_parts, write_v2_key
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -140,6 +140,21 @@ class TestDetectReference:
                     "--reference", ref]) == 0
         nc_ref = float(capsys.readouterr().out.split("nc=")[1])
         assert nc_ref < nc_true
+
+    def test_reference_whose_singular_values_overflow(self, scene, tmp_path, capsys):
+        # LAPACK's rescaling overflows this finite reference's singular
+        # values, and ``svd`` refuses them: no score is made from them.
+        _, _, p = scene
+        ref = str(tmp_path / "ref.svdf")
+        sm.write_float_image(np.full((64, 64), 1e308), ref)
+        assert run(["embed", "--cover", p["cover"], "--watermark", p["wm"],
+                    "--out", p["marked"], "--key", p["key"]]) == 0
+        capsys.readouterr()
+        assert run(["detect-reference", "--marked", p["marked"], "--key", p["key"],
+                    "--reference", ref]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: InvalidInput: s contains NaN or Inf entries"]
 
 
 class TestMetricsAttackSweep:
@@ -302,12 +317,25 @@ class TestKeyRouting:
         assert capsys.readouterr().err.splitlines() == [
             "error: CodecError: not an SVDK key file"]
 
-    @pytest.mark.parametrize("infos", [5, None])
-    def test_bundle_infos_not_a_list(self, keys, capsys, infos):
-        rewrite_key_metadata(keys["bundle"], lambda d: d.__setitem__("infos", infos))
+    # Bundles have no infos list; the strategy sets the record count, so a
+    # strategy that names none stands in for a bad list.
+    @pytest.mark.parametrize("strategy", [5, None])
+    def test_bundle_infos_not_a_list(self, keys, capsys, strategy):
+        rewrite_key_metadata(keys["bundle"], lambda d: d.__setitem__("strategy", strategy))
         assert run(["extract", "--marked", keys["ppm"], "--key", keys["bundle"],
                     "--out", keys["out"]]) == 1
         assert capsys.readouterr().err.startswith("error: MalformedSideInfo")
+
+    @pytest.mark.parametrize("marked, key", [("marked", "key"), ("ppm", "bundle")])
+    def test_version_2_key_refused(self, keys, capsys, marked, key):
+        info = (sm.load_bundle(keys[key]).infos[0] if key == "bundle"
+                else sm.load_sideinfo(keys[key]))
+        write_v2_key(keys[key], info, strategy="blue" if key == "bundle" else None)
+        assert run(["extract", "--marked", keys[marked], "--key", keys[key],
+                    "--out", keys["out"]]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: UnsupportedVersion: key container version 2 is not supported"]
+        assert not Path(keys["out"]).exists()
 
 
 class TestOverflowKeepsOneErrorLine:

@@ -14,7 +14,15 @@ from svdmark.errors import (
 )
 
 from conftest import seeded_matrix
-from keyfiles import HEADER, V1_KEYS, key_parts, rewrite_key_metadata, write_key_parts
+from keyfiles import (
+    HEADER,
+    V1_KEYS,
+    key_parts,
+    key_payload,
+    rewrite_key_metadata,
+    write_key_parts,
+    write_v2_key,
+)
 
 
 class TestPgm:
@@ -206,21 +214,40 @@ class TestSideInfoFile:
             sm.load_sideinfo(str(path))
 
     def test_version_mismatch(self, tmp_path, semiblind_info):
-        _, info = semiblind_info
-        path = tmp_path / "key.json"
-        sm.save_sideinfo(info, str(path))
-        rewrite_key_metadata(path, lambda d: d.__setitem__("version", 99))
-        with pytest.raises(UnsupportedVersion):
-            sm.load_sideinfo(str(path))
-
-    def test_container_version_mismatch(self, tmp_path, semiblind_info):
+        # The header holds the only version; the metadata has none.
         _, info = semiblind_info
         path = tmp_path / "key.json"
         sm.save_sideinfo(info, str(path))
         meta, payload = key_parts(path)
-        write_key_parts(path, meta, payload, version=3)
+        assert "version" not in meta
+        write_key_parts(path, meta, payload, version=99)
+        with pytest.raises(UnsupportedVersion,
+                           match="^key container version 99 is not supported$"):
+            sm.load_sideinfo(str(path))
+
+    def test_container_version_mismatch(self, tmp_path, semiblind_info):
+        # The header decides the layout: version-3 bytes under a version-2
+        # header are refused, not read by their look.
+        _, info = semiblind_info
+        path = tmp_path / "key.json"
+        sm.save_sideinfo(info, str(path))
+        meta, payload = key_parts(path)
+        write_key_parts(path, meta, payload, version=2)
         with pytest.raises(UnsupportedVersion):
             sm.load_sideinfo(str(path))
+
+    @pytest.mark.parametrize("kind", ["single", "bundle"])
+    @pytest.mark.parametrize("load", [sm.load_sideinfo, sm.load_bundle],
+                             ids=["sideinfo", "bundle"])
+    def test_version_2_keys_refused(self, tmp_path, semiblind_info, kind, load):
+        # The version-2 layout, which repeated the shared fields per record,
+        # is retired: either kind fails on its header, through either loader.
+        _, info = semiblind_info
+        path = tmp_path / "key.svdk"
+        write_v2_key(path, info, strategy="blue" if kind == "bundle" else None)
+        with pytest.raises(UnsupportedVersion,
+                           match="^key container version 2 is not supported$"):
+            load(str(path))
 
     def test_unaligned_payload_rejected(self, tmp_path, semiblind_info):
         _, info = semiblind_info
@@ -229,7 +256,7 @@ class TestSideInfoFile:
         meta, payload = key_parts(path)
         text = json.dumps(meta).encode("ascii")
         text += b" " * (-(HEADER.size + len(text)) % 8 + 1)
-        path.write_bytes(HEADER.pack(b"SVDK", 2, len(text)) + text + payload)
+        path.write_bytes(HEADER.pack(b"SVDK", 3, len(text)) + text + payload)
         with pytest.raises(CodecError):
             sm.load_sideinfo(str(path))
 
@@ -252,11 +279,11 @@ class TestSideInfoFile:
         sm.save_sideinfo(info, str(path))
         data = path.read_bytes()
         magic, version, meta_len = HEADER.unpack_from(data)
-        assert (magic, version) == (b"SVDK", 2)
+        assert (magic, version) == (b"SVDK", 3)
         assert (HEADER.size + meta_len) % 8 == 0
         meta, payload = key_parts(path)
-        assert meta == {"version": 2, "scheme_tag": "hash-code", "alpha": info.alpha,
-                        "rows": 64, "cols": 64, "s_layout": "diag",
+        assert meta == {"scheme_tag": "hash-code", "alpha": info.alpha,
+                        "rows": 64, "cols": 64,
                         "quant": {"lo": info.quant.lo, "hi": info.quant.hi,
                                   "degenerate": info.quant.degenerate}}
         arrays = (info.u, info.sigma, info.v, info.v_w)
@@ -273,13 +300,31 @@ class TestSideInfoFile:
             assert not getattr(back, name).flags.owndata
 
     def test_hash_key_stores_diagonal(self, tmp_path, hash_info):
+        # Only the min(M, N) singular values are stored, so no layout is named.
         _, info = hash_info
-        v2 = tmp_path / "key.json"
-        sm.save_sideinfo(info, str(v2))
-        meta_len = HEADER.unpack_from(v2.read_bytes())[2]
+        path = tmp_path / "key.json"
+        sm.save_sideinfo(info, str(path))
+        meta_len = HEADER.unpack_from(path.read_bytes())[2]
         m, n = info.rows, info.cols
-        assert key_parts(v2)[0]["s_layout"] == "diag"
-        assert v2.stat().st_size == HEADER.size + meta_len + 8 * (m * m + min(m, n) + 2 * n * n)
+        assert "s_layout" not in key_parts(path)[0]
+        assert path.stat().st_size == 10 + meta_len + 8 * (m * m + min(m, n) + 2 * n * n)
+
+    @pytest.mark.parametrize("rows, cols", [(24, 20), (20, 24)])
+    @pytest.mark.parametrize("strategy, k", [("perchannel", 3), ("blue", 1)])
+    def test_bundle_stores_shared_v_w_once(self, tmp_path, rows, cols, strategy, k):
+        img = sm.synthetic_rgb(rows, cols, seed=9)
+        _, bundle = sm.embed_color(img, seeded_matrix(1, rows, cols), strategy,
+                                   sm.SchemeTag.SEMI_BLIND)
+        path = tmp_path / "bundle.svdk"
+        sm.save_bundle(bundle, str(path))
+        meta_len = HEADER.unpack_from(path.read_bytes())[2]
+        m, n = rows, cols
+        assert path.stat().st_size == (
+            10 + meta_len + 8 * (k * (m * m + min(m, n) + n * n) + n * n))
+        meta, payload = key_parts(path)
+        assert meta == {"scheme_tag": "semi-blind", "alpha": 0.1, "rows": m, "cols": n,
+                        "strategy": strategy}
+        assert payload == key_payload(bundle.infos)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "key.json"

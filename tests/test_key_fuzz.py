@@ -52,10 +52,10 @@ def _boundaries(data, records):
     start = HEADER.size + HEADER.unpack_from(data)[2]
     edges = [0, 1, 4, 6, HEADER.size, start - 1, start]
     offset = start
-    for _ in range(records):
-        for count in (ROWS * ROWS, min(ROWS, COLS), COLS * COLS, COLS * COLS):
-            offset += 8 * count
-            edges += [offset - 1, offset]
+    # Each record's u, sigma and v, then the v_w they share.
+    for count in (ROWS * ROWS, min(ROWS, COLS), COLS * COLS) * records + (COLS * COLS,):
+        offset += 8 * count
+        edges += [offset - 1, offset]
     assert offset == len(data)
     return sorted(set(edges) - {len(data)})
 
@@ -132,7 +132,7 @@ def test_metadata_length_past_end(keys, kind, data):
 @pytest.mark.parametrize("kind", ("single", "bundle"))
 def test_deeply_nested_json_rejected(keys, kind):
     nested = b"[" * 100_006  # 10 + 100_006 is a multiple of 8: metadata gets parsed
-    assert not _check(keys, kind, HEADER.pack(b"SVDK", 2, len(nested)) + nested)
+    assert not _check(keys, kind, HEADER.pack(b"SVDK", 3, len(nested)) + nested)
 
 
 def test_fuzz_keys_load(keys):

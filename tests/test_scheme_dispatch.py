@@ -194,9 +194,9 @@ ALPHA_OUTCOMES = [  # (alpha, (marks an image, side info only))
 ]
 
 
-def _with_stored_alpha(path, alpha, record):
-    """``path``, after setting the alpha of the key record ``record`` picks."""
-    rewrite_key_metadata(path, lambda meta: record(meta).__setitem__("alpha", alpha))
+def _with_stored_alpha(path, alpha):
+    """``path``, after setting the alpha its key metadata holds."""
+    rewrite_key_metadata(path, lambda meta: meta.__setitem__("alpha", alpha))
     return path
 
 
@@ -218,10 +218,8 @@ def _alpha_entry_points(identity, tmp_path):
     single, bundle = str(tmp_path / "single.svdk"), str(tmp_path / "bundle.svdk")
     sm.save_sideinfo(info, single)
     sm.save_bundle(sm.SideInfoBundle(sm.ChannelStrategy.BLUE_CHANNEL, (info,)), bundle)
-    yield "load_sideinfo", 1, lambda a: sm.load_sideinfo(
-        _with_stored_alpha(single, a, lambda meta: meta))
-    yield "load_bundle", 1, lambda a: sm.load_bundle(
-        _with_stored_alpha(bundle, a, lambda meta: meta["infos"][0]))
+    yield "load_sideinfo", 1, lambda a: sm.load_sideinfo(_with_stored_alpha(single, a))
+    yield "load_bundle", 1, lambda a: sm.load_bundle(_with_stored_alpha(bundle, a))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, at 1e308

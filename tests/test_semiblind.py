@@ -238,13 +238,15 @@ def test_embed_rejects_alpha_overflowing_squared_error():
 
 
 # LAPACK scales the singular values back up after the SVD, so a finite
-# cover near the float64 limit can overflow them; an embed, which builds
-# its side info from those factors unchecked, refuses them first.
+# cover near the float64 limit can overflow them.  ``svd`` itself refuses
+# them, so no caller (an embed, the sweep) builds anything on them.
 @pytest.mark.parametrize("shape", [(4, 3), (8, 8)])
 def test_embed_rejects_cover_whose_singular_values_overflow(identity, shape):
     cover, wm = np.full(shape, 1e308), seeded_matrix(2, *shape)
-    assert not np.all(np.isfinite(sm.svd(cover).sigma))
-    with pytest.raises(InvalidInput, match="^s contains NaN or Inf entries$"):
-        sm.embed(cover, wm, 0.1)
-    with pytest.raises(InvalidInput, match="^s contains NaN or Inf entries$"):
-        sm.embed_invisible(cover, wm, identity, 0.1)
+    attacks = [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)]
+    for call in (lambda: sm.svd(cover),
+                 lambda: sm.embed(cover, wm, 0.1),
+                 lambda: sm.embed_invisible(cover, wm, identity, 0.1),
+                 lambda: sm.robustness_sweep(cover, wm, [0.1], attacks)):
+        with pytest.raises(InvalidInput, match="^s contains NaN or Inf entries$"):
+            call()

@@ -105,6 +105,22 @@ def test_trust_boundaries_keep_their_checks(orthogonality_checks, tmp_path):
     assert len(orthogonality_checks) == 6
 
 
+@pytest.mark.parametrize("strategy, records", [("perchannel", 3), ("luminance", 1)])
+def test_bundle_load_checks_every_record(orthogonality_checks, tmp_path, strategy, records):
+    # A bundle stores the v_w its records share once, yet each record it
+    # loads is a SideInfo checked as a single key's is.  The wrong loader
+    # refuses it before building any.
+    _, bundle = sm.embed_color(sm.synthetic_rgb(24, 20, seed=5), seeded_matrix(2, 24, 20),
+                               strategy, sm.SchemeTag.SEMI_BLIND)
+    path = str(tmp_path / "bundle.svdk")
+    sm.save_bundle(bundle, path)
+    with pytest.raises(sm.MalformedSideInfo):
+        sm.load_sideinfo(path)
+    assert orthogonality_checks == []
+    sm.load_bundle(path)
+    assert len(orthogonality_checks) == 3 * records
+
+
 # Alphas every embed refuses: recovery divides by alpha, so it must be
 # finite and positive.
 BAD_ALPHAS = [0.0, -0.0, -0.1, math.nan, math.inf]
@@ -191,6 +207,18 @@ def _work_argv(tmp_path, command, out):
     sm.save_sideinfo(info, key)
     argv = [command, "--marked", marked, "--key", key, *ident, "--out", out]
     return argv + (["--reference", source] if command == "detect-reference" else [])
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (32, 16), (16, 32)])
+def test_detect_reference_checks_the_reference_shape_before_its_svd(svd_calls, tmp_path,
+                                                                    capsys, shape):
+    # A 16 x 16 key, and a reference of another shape in place of in.pgm.
+    argv = _work_argv(tmp_path, "detect-reference", "p.svdf")
+    sm.write_pgm(seeded_matrix(3, *shape), str(tmp_path / "in.pgm"))
+    inputs = sorted(f.name for f in tmp_path.iterdir())
+    del svd_calls[:]
+    _refused(tmp_path, capsys, argv, "DimensionError", inputs)
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize("out", ["m.txt", "m.ppm", "m"])
