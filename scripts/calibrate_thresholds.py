@@ -64,12 +64,11 @@ def main():
     print(f"OBSERVED nc_noise_sigma2={nc_noise!r}")
 
     print("# --- reference detection gaps (20 seeds) ---")
-    a_wa_star = sm.recover_principal_components(marked, info)
     gaps = []
     ref_ncs = []
     for seed in REF_SEEDS:
         ref = reference(seed)
-        p_star = sm.detect_reference(a_wa_star, sm.svd(ref).v)
+        p_star = sm.detect_reference(marked, info, ref)
         nc_ref = sm.normalized_correlation(p_star, ref)
         ref_ncs.append(nc_ref)
         gaps.append(nc_clean - nc_ref)

@@ -116,6 +116,9 @@ class AttackSpec:
         if self.kind is AttackKind.GAUSSIAN_NOISE:
             if not np.isfinite(self.sigma) or self.sigma < 0:
                 raise InvalidParameter("gaussian-noise needs sigma >= 0")
+            if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+                raise InvalidParameter(f"gaussian-noise needs an integer seed >= 0, "
+                                       f"got {self.seed!r}")
         elif self.kind is AttackKind.CROP:
             if len(self.rect) != 4:
                 raise InvalidParameter("crop needs rect = (row0, col0, height, width)")

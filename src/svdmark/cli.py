@@ -14,9 +14,8 @@ import numpy as np
 
 from . import analysis, color, formats, invisible, semiblind
 from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
-from .errors import DimensionError, WatermarkError
+from .errors import WatermarkError
 from .hashstream import Identity
-from .matrix import svd
 from .semiblind import DEFAULT_ALPHA, SchemeTag
 
 EXIT_OK = 0
@@ -228,12 +227,7 @@ def _cmd_detect_reference(args):
     info = formats.load_sideinfo(args.key)
     marked = formats.load_matrix(args.marked)
     reference = formats.load_matrix(args.reference)
-    semiblind._require_scheme(info, SchemeTag.SEMI_BLIND)
-    if reference.shape != (info.rows, info.cols):  # checked before the reference's SVD
-        raise DimensionError(f"reference {reference.shape} does not match side info "
-                             f"{(info.rows, info.cols)}")
-    a_wa_star = semiblind.recover_principal_components(marked, info)
-    p_star = semiblind.detect_reference(a_wa_star, svd(reference).v)
+    p_star = semiblind.detect_reference(marked, info, reference)
     if write_out:
         write_out(p_star, args.out)
     nc = analysis.normalized_correlation(p_star, reference)

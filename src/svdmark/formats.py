@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .hashstream import QuantParams
-from .matrix import as_matrix
+from .matrix import SvdFactors, _trusted, as_matrix
 from .semiblind import SchemeTag, SideInfo
 
 SVDF_MAGIC = b"SVDF"
@@ -46,17 +46,19 @@ _PNM_MAGICS = {b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"}
 
 
 def _atomic_write(path, *chunks):
-    # Complete file or no file; never a truncated one.
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".svdmark-")
+    # Complete file or no file; never a truncated one.  An OSError names
+    # ``path``, not the temp file, whose name changes on every run.
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".svdmark-")
         with os.fdopen(fd, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _to_bytes_255(m):
@@ -212,21 +214,19 @@ def _read_key(path, bundle):
         alpha, rows, cols = float(meta["alpha"]), int(meta["rows"]), int(meta["cols"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
-    # SideInfo checks the rest, but cannot tell "quant": null from no
-    # quant block.
     if rows < 1 or cols < 1:
         raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
+    # A block is refused on a semi-blind key, "quant": null included, and
+    # parsed on any other; SideInfo refuses a hash-code key without one.
     quant = None
-    if scheme is SchemeTag.HASH_CODE:
-        q = meta.get("quant")
+    if "quant" in meta:
+        if scheme is SchemeTag.SEMI_BLIND:
+            raise MalformedSideInfo("semi-blind side info must not carry a quant block")
         try:
-            quant = QuantParams(
-                lo=float(q["lo"]), hi=float(q["hi"]), degenerate=bool(q["degenerate"])
-            )
+            q = meta["quant"]
+            quant = QuantParams(float(q["lo"]), float(q["hi"]), bool(q["degenerate"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedSideInfo(f"missing or malformed quant block: {exc}") from exc
-    elif "quant" in meta:
-        raise MalformedSideInfo("semi-blind side info must not carry a quant block")
     records = 3 if strategy is ChannelStrategy.PER_CHANNEL else 1
     sizes = [("u", rows * rows), ("sigma", min(rows, cols)), ("v", cols * cols)] * records
     arrays, offset = [], start
@@ -240,10 +240,12 @@ def _read_key(path, bundle):
     if offset != len(data):
         raise CodecError(f"key file is {len(data)} bytes, not {offset}")
     v_w = arrays.pop().reshape(cols, cols)
-    return strategy, tuple(
-        SideInfo(u.reshape(rows, rows), s, v.reshape(cols, cols), v_w, alpha, rows, cols,
-                 scheme, quant)
-        for u, s, v in zip(*[iter(arrays)] * 3))
+    (u, s, v), *rest = [(u.reshape(rows, rows), s, v.reshape(cols, cols))
+                        for u, s, v in zip(*[iter(arrays)] * 3)]
+    # The first record checks what all share; the others, only their own factors.
+    first = SideInfo(u, s, v, v_w, alpha, rows, cols, scheme, quant)
+    return strategy, (first, *(_trusted(SideInfo, **{**vars(first), **vars(SvdFactors(*f))})
+                               for f in rest))
 
 
 def save_sideinfo(info, path):

@@ -26,9 +26,6 @@ from .matrix import ORTHOGONALITY_TOL, SvdFactors, _trusted, as_matrix, orthogon
 # while keeping the marked image visually close to the cover.
 DEFAULT_ALPHA = 0.1
 
-# Looser orthogonality gate for externally supplied reference factors.
-REFERENCE_ORTHOGONALITY_TOL = 1e-6
-
 
 class SchemeTag(str, Enum):
     SEMI_BLIND = "semi-blind"
@@ -190,18 +187,14 @@ def _require_scheme(info, scheme):
         raise MalformedSideInfo(f"expected {scheme.value} side info, got {info.scheme.value}")
 
 
-def detect_reference(a_wa_star, v_ref):
-    """Project recovered principal components onto a reference basis.
-
-    With the true watermark's ``V_w`` this reproduces the extracted
-    watermark; with the right singular vectors of an unrelated image it
-    yields a heavily distorted rendition whose correlation against that
-    image stays well below the true-watermark score.
-    """
-    a = as_matrix(a_wa_star, "a_wa_star")
-    v = as_matrix(v_ref, "v_ref")
-    if v.shape[0] != v.shape[1] or a.shape[1] != v.shape[0]:
-        raise DimensionError(f"reference basis {v.shape} does not conform to {a.shape}")
-    if orthogonality_residual(v) > REFERENCE_ORTHOGONALITY_TOL:
-        raise InvalidInput("reference basis is not orthogonal")
-    return a @ v.T
+def detect_reference(marked, info, reference):
+    """Project the components recovered from ``marked`` onto the right
+    singular vectors of ``reference``, whose shape must be the key's (checked
+    before its SVD).  The true watermark reproduces the extraction; an
+    unrelated image correlates with the result well below that score."""
+    _require_scheme(info, SchemeTag.SEMI_BLIND)
+    reference = as_matrix(reference, "reference")
+    if reference.shape != (info.rows, info.cols):
+        raise DimensionError(f"reference {reference.shape} does not match side info "
+                             f"{(info.rows, info.cols)}")
+    return recover_principal_components(marked, info) @ svd(reference).v.T

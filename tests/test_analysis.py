@@ -96,6 +96,13 @@ class TestAttacks:
         with pytest.raises(InvalidParameter):
             sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, -3, 7.0, "7"], ids=repr)
+    def test_noise_seed_must_be_a_non_negative_integer(self, seed):
+        # PCG64 would raise a bare ValueError or TypeError at attack time.
+        with pytest.raises(InvalidParameter, match="integer seed >= 0"):
+            sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=1.0, seed=seed)
+        sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=1.0, seed=np.int64(0))
+
     def test_quantize_identity_on_integral(self):
         a = np.array([[0.0, 128.0], [255.0, 7.0]])
         np.testing.assert_array_equal(

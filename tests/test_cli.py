@@ -594,6 +594,47 @@ def test_default_seed_fills_only_stochastic_attacks(scene, tmp_path, monkeypatch
     assert np.array_equal(sm.read_float_image(str(attacked)), sm.read_pgm(p["cover"]))
 
 
+@pytest.mark.parametrize("route", ["attack", "sweep", "env"])
+def test_negative_seed_is_one_error_line(scene, tmp_path, monkeypatch, capsys, route):
+    _, _, p = scene
+    out = tmp_path / ("r.csv" if route == "sweep" else "x.svdf")
+    if route == "sweep":
+        argv = ["sweep", "--cover", p["cover"], "--watermark", p["wm"], "--alphas", "0.1",
+                "--attacks", "gaussian-noise:sigma=1:seed=-3", "--out", str(out)]
+    else:
+        argv = ["attack", "--input", p["cover"], "--output", str(out),
+                "--kind", "gaussian-noise", "--sigma", "1", "--seed", "-1"]
+    if route == "env":
+        monkeypatch.setenv("SVDMARK_SEED", "-1")
+        argv[-1] = "7"  # the environment overrides a valid --seed
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: InvalidParameter: gaussian-noise needs an integer seed >= 0, got "
+        + ("-3" if route == "sweep" else "-1")]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, outputs, name", [
+    ("embed", ["--out", "nodir/m.svdf", "--key", "k.svdk"], "nodir/m.svdf"),
+    ("embed", ["--out", "m.svdf", "--key", "nodir/k.svdk"], "nodir/k.svdk"),
+    ("sweep", ["--alphas", "0.1", "--attacks", "quantize-8bit", "--out", "nodir/r.csv"],
+     "nodir/r.csv"),
+])
+def test_write_error_names_the_given_path(scene, tmp_path, monkeypatch, capsys,
+                                          command, outputs, name):
+    # Writers go through a temp file; the error names the path given, so
+    # stderr is the same on every run, and no file is left behind.
+    _, _, p = scene
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--cover", p["cover"], "--watermark", p["wm"], *outputs]
+    for _ in range(2):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: IOError: [Errno 2] No such file or directory: '{name}'\n")
+    assert sorted(os.listdir(tmp_path)) == ["cover.pgm", "wm.pgm"]
+
+
 def test_abbreviated_option_is_a_usage_error(scene, capsys):
     _, _, p = scene
     assert run(["metrics", "--a", p["cover"], "--b", p["cover"]]) == 0

@@ -126,34 +126,30 @@ class TestExtract:
 
 class TestDetectReference:
     def test_true_basis_reproduces_extraction(self, cover64, watermark64):
+        # The watermark as reference projects onto its own V_w.
         marked, info = sm.embed(cover64, watermark64, 0.1)
-        a_wa_star = sm.recover_principal_components(marked, info)
-        p_star = sm.detect_reference(a_wa_star, info.v_w)
+        p_star = sm.detect_reference(marked, info, watermark64)
         np.testing.assert_array_equal(p_star, sm.extract(marked, info))
-
-    def test_identity_basis_returns_input(self, cover64, watermark64):
-        marked, info = sm.embed(cover64, watermark64, 0.1)
-        a_wa_star = sm.recover_principal_components(marked, info)
-        np.testing.assert_array_equal(
-            sm.detect_reference(a_wa_star, np.eye(64)), a_wa_star
-        )
 
     def test_unrelated_reference_scores_lower(self, cover64, watermark64):
         marked, info = sm.embed(cover64, watermark64, 0.1)
         nc_true = sm.normalized_correlation(sm.extract(marked, info), watermark64)
-        a_wa_star = sm.recover_principal_components(marked, info)
         for seed in th.REF_SEEDS[:5]:
             ref = make_reference(seed, 64)
-            p_star = sm.detect_reference(a_wa_star, sm.svd(ref).v)
+            p_star = sm.detect_reference(marked, info, ref)
             assert sm.normalized_correlation(p_star, ref) < nc_true
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            sm.detect_reference(np.zeros((4, 4)), np.eye(3))
+    def test_dimension_mismatch(self, cover64, watermark64):
+        marked, info = sm.embed(cover64, watermark64, 0.1)
+        for shape in [(32, 32), (64, 32), (32, 64)]:
+            with pytest.raises(DimensionError, match=r"reference \(.*does not match side info"):
+                sm.detect_reference(marked, info, np.ones(shape))
 
-    def test_non_orthogonal_reference(self):
-        with pytest.raises(InvalidInput):
-            sm.detect_reference(np.zeros((3, 3)), np.full((3, 3), 0.5))
+    def test_keyed_side_info_refused(self, cover64, watermark64, identity):
+        # The scheme is checked first, so a wrong-shape reference does not matter.
+        marked, info = sm.embed_invisible(cover64, watermark64, identity, 0.1)
+        with pytest.raises(MalformedSideInfo):
+            sm.detect_reference(marked, info, np.ones((3, 3)))
 
 
 class TestSideInfoValidation:

@@ -6,8 +6,10 @@ watermark split across its planes.  Factors have one trust rule: fresh
 LAPACK factors hold the invariants by construction, so an embed builds
 its side info from them with no orthogonality check, and the sweep
 checks none either.  Factors from outside are checked once, where they
-enter: a key file's when it is loaded, caller data when it is wrapped,
-and a reference basis in ``detect_reference``.
+enter: a key file's when it is loaded, and caller data when it is
+wrapped.  A key checks what its records share once, so a bundle load
+checks ``2 * records + 1`` matrices.  ``detect_reference`` takes a
+reference image and trusts its fresh SVD, so it checks none.
 Every embed, from the library or the CLI, checks its arguments (and the
 CLI its ``--out`` name) before the first SVD, so a refused embed runs
 none.  Every other command that writes an image checks that path before
@@ -17,6 +19,7 @@ it reads any input, so a refused one does no work either.
 import math
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from svdmark import matrix
 from svdmark.cli import cli_main
 
 from conftest import seeded_matrix
+from keyfiles import key_parts, key_payload, write_key_parts
 
 
 def _count_calls(monkeypatch, func):
@@ -93,7 +97,7 @@ def test_sweep_checks_no_factors(orthogonality_checks):
 
 
 def test_trust_boundaries_keep_their_checks(orthogonality_checks, tmp_path):
-    _, info = sm.embed(seeded_matrix(1, 24, 20), seeded_matrix(2, 24, 20), 0.1)
+    marked, info = sm.embed(seeded_matrix(1, 24, 20), seeded_matrix(2, 24, 20), 0.1)
     path = str(tmp_path / "key.json")
     sm.save_sideinfo(info, path)
     del orthogonality_checks[:]
@@ -101,24 +105,49 @@ def test_trust_boundaries_keep_their_checks(orthogonality_checks, tmp_path):
     assert len(orthogonality_checks) == 3
     sm.SvdFactors(u=info.u, s=info.sigma, v=info.v)
     assert len(orthogonality_checks) == 5
-    sm.detect_reference(info.u[:, :20], info.v_w)
-    assert len(orthogonality_checks) == 6
+    sm.detect_reference(marked, info, seeded_matrix(3, 24, 20))  # trusts the reference's SVD
+    assert len(orthogonality_checks) == 5
 
 
-@pytest.mark.parametrize("strategy, records", [("perchannel", 3), ("luminance", 1)])
-def test_bundle_load_checks_every_record(orthogonality_checks, tmp_path, strategy, records):
-    # A bundle stores the v_w its records share once, yet each record it
-    # loads is a SideInfo checked as a single key's is.  The wrong loader
-    # refuses it before building any.
+def _saved_bundle(tmp_path, strategy):
     _, bundle = sm.embed_color(sm.synthetic_rgb(24, 20, seed=5), seeded_matrix(2, 24, 20),
                                strategy, sm.SchemeTag.SEMI_BLIND)
     path = str(tmp_path / "bundle.svdk")
     sm.save_bundle(bundle, path)
+    return bundle, path
+
+
+@pytest.mark.parametrize("strategy, records", [("perchannel", 3), ("luminance", 1)])
+def test_bundle_load_checks_every_record(orthogonality_checks, tmp_path, strategy, records):
+    # Each record's u and v is checked, and the v_w they share once.  The
+    # wrong loader refuses the bundle before building any record.
+    _, path = _saved_bundle(tmp_path, strategy)
     with pytest.raises(sm.MalformedSideInfo):
         sm.load_sideinfo(path)
     assert orthogonality_checks == []
     sm.load_bundle(path)
-    assert len(orthogonality_checks) == 3 * records
+    assert len(orthogonality_checks) == 2 * records + 1
+
+
+RECORD_DEFECTS = {
+    "u-not-orthogonal": lambda r: dict(r, u=r["u"] * 1.01),
+    "v-not-orthogonal": lambda r: dict(r, v=r["v"] + 1e-3),
+    "sigma-increasing": lambda r: dict(r, sigma=r["sigma"][::-1]),
+}
+
+
+@pytest.mark.parametrize("defect", list(RECORD_DEFECTS))
+@pytest.mark.parametrize("record", [1, 2])
+def test_bundle_load_checks_each_later_record(tmp_path, record, defect):
+    # Records after the first take the shared fields from it, yet their
+    # own factors are checked as the first record's are.
+    bundle, path = _saved_bundle(tmp_path, "perchannel")
+    meta, _ = key_parts(path)
+    records = [{k: vars(i)[k] for k in ("u", "sigma", "v", "v_w")} for i in bundle.infos]
+    records[record] = RECORD_DEFECTS[defect](records[record])
+    write_key_parts(path, meta, key_payload([SimpleNamespace(**r) for r in records]))
+    with pytest.raises(sm.InvalidInput):
+        sm.load_bundle(path)
 
 
 # Alphas every embed refuses: recovery divides by alpha, so it must be
@@ -219,6 +248,16 @@ def test_detect_reference_checks_the_reference_shape_before_its_svd(svd_calls, t
     del svd_calls[:]
     _refused(tmp_path, capsys, argv, "DimensionError", inputs)
     assert svd_calls == []
+
+
+def test_detect_reference_checks_the_key_once(svd_calls, orthogonality_checks, tmp_path,
+                                              capsys):
+    # The key's three factors are checked; the reference's one SVD is trusted.
+    argv = _work_argv(tmp_path, "detect-reference", "p.svdf")
+    del svd_calls[:], orthogonality_checks[:]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.startswith("nc=")
+    assert (len(orthogonality_checks), len(svd_calls)) == (3, 1)
 
 
 @pytest.mark.parametrize("out", ["m.txt", "m.ppm", "m"])
