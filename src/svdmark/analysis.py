@@ -172,12 +172,10 @@ def _attack(spec, shape):
             return out
 
         return crop
-    if spec.kind is AttackKind.RESCALE:
-        rows, cols = shape
-        down_r = max(1, int(round(rows * spec.scale)))
-        down_c = max(1, int(round(cols * spec.scale)))
-        return lambda a: resize_bilinear(resize_bilinear(a, down_r, down_c), rows, cols)
-    raise InvalidParameter(f"unknown attack kind {spec.kind}")
+    rows, cols = shape  # AttackKind.RESCALE: AttackSpec admits no other kind
+    down_r = max(1, int(round(rows * spec.scale)))
+    down_c = max(1, int(round(cols * spec.scale)))
+    return lambda a: resize_bilinear(resize_bilinear(a, down_r, down_c), rows, cols)
 
 
 def resize_bilinear(a, rows, cols):

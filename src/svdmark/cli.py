@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage or I/O errors, 2 when verification
-rejects.  Library errors are reported on stderr as one line with a
+Exit codes: 0 on success, 1 on usage, I/O or memory errors, 2 when
+verification rejects.  Errors are reported on stderr as one line with a
 stable code: ``error: <ErrorClass>: <detail>``.  The environment
 variable SVDMARK_SEED overrides --seed when set.
 """
@@ -300,8 +300,9 @@ def _run(argv):
     except WatermarkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: IOError: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # numpy's MemoryError is _ArrayMemoryError
+        kind = "IOError" if isinstance(exc, OSError) else "MemoryError"
+        print(f"error: {kind}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

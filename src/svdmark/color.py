@@ -4,7 +4,7 @@ Either mono-channel scheme can be applied to a color image three ways:
 on the luminance plane ``L = max(R,G,B) + min(R,G,B)``, on the blue
 channel alone, or on each channel individually.  Luminance write-back
 shifts all three channels uniformly by ``(L' - L) / 2``, which inverts
-the forward formula exactly before clipping.
+the forward formula exactly; only ``write_ppm`` clips, as it writes bytes.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import invisible, semiblind
 from .errors import DimensionError, MalformedSideInfo
-from .matrix import as_matrix
+from .matrix import _trusted, as_matrix
 from .semiblind import DEFAULT_ALPHA, SideInfo
 
 
@@ -56,7 +56,8 @@ class RgbImage:
 class SideInfoBundle:
     """Per-plane side info: one record for single-plane strategies,
     three (r, g, b order) for per-channel embedding.  The records share
-    one scheme, alpha, quant, shape and ``v_w``, as one embed gives them."""
+    one scheme, alpha, quant, shape and ``v_w``: checked when a caller builds
+    one, given by construction when an embed or a key load does."""
 
     strategy: ChannelStrategy
     infos: tuple[SideInfo, ...]
@@ -86,19 +87,15 @@ def luminance_split(img):
 def luminance_merge(img, l_new):
     """Write a new luminance plane back into ``img``.
 
-    Every channel is shifted by ``(L' - L) / 2``, so prior to clipping
-    the new pixel satisfies ``max' + min' = L'`` exactly; the result is
-    then clipped to [0, 255].
+    Every channel is shifted by ``(L' - L) / 2``, so the new pixel
+    satisfies ``max' + min' = L'`` exactly.  The result is not clipped
+    and may leave 0..255; ``write_ppm`` clips when it writes bytes.
     """
     l_new = as_matrix(l_new, "l_new")
     if l_new.shape != img.r.shape:
         raise DimensionError(f"luminance plane {l_new.shape} does not match image")
     delta = (l_new - luminance_split(img)) / 2.0
-    return RgbImage(
-        r=np.clip(img.r + delta, 0.0, 255.0),
-        g=np.clip(img.g + delta, 0.0, 255.0),
-        b=np.clip(img.b + delta, 0.0, 255.0),
-    )
+    return RgbImage(r=img.r + delta, g=img.g + delta, b=img.b + delta)
 
 
 def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
@@ -110,7 +107,7 @@ def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
     """
     strategy = ChannelStrategy(strategy)
     marked, infos = semiblind._embed_planes(_planes(img, strategy), w, scheme, alpha, identity)
-    bundle = SideInfoBundle(strategy, infos)
+    bundle = _trusted(SideInfoBundle, strategy=strategy, infos=tuple(infos))
     if strategy is ChannelStrategy.LUMINANCE:
         return luminance_merge(img, marked[0]), bundle
     if strategy is ChannelStrategy.BLUE_CHANNEL:

@@ -267,7 +267,7 @@ def save_bundle(bundle, path):
 def load_bundle(path):
     """Load a color key bundle written by :func:`save_bundle`."""
     strategy, infos = _read_key(path, bundle=True)
-    return SideInfoBundle(strategy=strategy, infos=infos)
+    return _trusted(SideInfoBundle, strategy=strategy, infos=infos)
 
 
 def load_matrix(path):

@@ -81,9 +81,11 @@ def derive_mask(identity, rows, cols):
     if rows < 1 or cols < 1:
         raise InvalidParameter(f"mask shape must be positive, got {rows}x{cols}")
     need = rows * cols
+    base = hashlib.sha256(identity.id_bytes)
     blocks = []
     for counter in range((need + _DIGEST_SIZE - 1) // _DIGEST_SIZE):
-        h = hashlib.sha256(identity.id_bytes + counter.to_bytes(8, "big"))
+        h = base.copy()
+        h.update(counter.to_bytes(8, "big"))
         blocks.append(h.digest())
     stream = b"".join(blocks)[:need]
     return np.frombuffer(stream, dtype=np.uint8).reshape(rows, cols).copy()

@@ -29,16 +29,16 @@ def synthetic_image(rows, cols, seed, roughness=2.0, contrast=55.0, mean=128.0):
     return np.clip(np.rint(field - field.mean() + mean), 0.0, 255.0)
 
 
-def synthetic_rgb(rows, cols, seed, lo=64.0, hi=192.0):
-    """Deterministic color test image with all channels inside [lo, hi].
+def synthetic_rgb(rows, cols, seed):
+    """Deterministic color test image with all channels inside [64, 192].
 
-    The hard channel clamp leaves headroom for luminance write-back, so
-    moderate embedding strengths never clip.
+    The clamp leaves 64 levels of headroom at each end of 0..255 for a
+    marked plane, before the 8-bit PPM write clips what still leaves it.
     """
     planes = []
     for offset, mean in enumerate((120.0, 128.0, 136.0)):
         plane = synthetic_image(
             rows, cols, seed * 10 + offset, roughness=1.8, contrast=24.0, mean=mean
         )
-        planes.append(np.clip(plane, lo, hi))
+        planes.append(np.clip(plane, 64.0, 192.0))
     return RgbImage(*planes)

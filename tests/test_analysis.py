@@ -63,6 +63,10 @@ class TestNormalizedCorrelation:
         with pytest.warns(RuntimeWarning):
             assert sm.normalized_correlation(a, np.full((4, 4), 9.0)) == 0.0
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
+            sm.normalized_correlation(seeded_matrix(1, 2, 3), seeded_matrix(2, 3, 2))
+
     def test_range(self):
         for seed in range(4):
             nc = sm.normalized_correlation(seeded_matrix(seed, 8, 8),
@@ -103,6 +107,11 @@ class TestAttacks:
             sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=1.0, seed=seed)
         sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=1.0, seed=np.int64(0))
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(InvalidParameter, match="gaussian-noise needs sigma >= 0"):
+            sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=sigma, seed=0)
+
     def test_quantize_identity_on_integral(self):
         a = np.array([[0.0, 128.0], [255.0, 7.0]])
         np.testing.assert_array_equal(
@@ -128,6 +137,11 @@ class TestAttacks:
         spec = sm.AttackSpec(kind=sm.AttackKind.CROP, rect=(6, 6, 4, 4))
         with pytest.raises(InvalidParameter):
             sm.apply_attack(a, spec)
+
+    @pytest.mark.parametrize("rect", [(0, 0, 2), (0, 0, 2, 2, 2)])
+    def test_crop_rect_needs_four_entries(self, rect):
+        with pytest.raises(InvalidParameter, match=r"crop needs rect = \(row0, col0"):
+            sm.AttackSpec(kind=sm.AttackKind.CROP, rect=rect)
 
     def test_crop_invalid_rect_rejected_early(self):
         with pytest.raises(InvalidParameter):
@@ -184,6 +198,12 @@ class TestAttackParameters:
 
 
 class TestResize:
+    @pytest.mark.parametrize("resize", [sm.resize_nearest, sm.resize_bilinear])
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, 3)])
+    def test_non_positive_target_rejected(self, resize, rows, cols):
+        with pytest.raises(InvalidParameter, match="target shape must be positive"):
+            resize(seeded_matrix(14, 4, 4), rows, cols)
+
     def test_nearest_identity(self):
         a = seeded_matrix(15, 6, 6)
         np.testing.assert_array_equal(sm.resize_nearest(a, 6, 6), a)

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -654,3 +655,119 @@ def test_every_exported_error_class_is_raised():
                and getattr(sm, name) is not sm.WatermarkError]
     assert len(classes) >= 8
     assert [name for name in classes if f"raise {name}(" not in source] == []
+
+
+def _extract_argv(p, mutate_meta):
+    """Embed, rewrite the key's metadata to ``mutate_meta(meta)``, then extract."""
+    assert run(["embed", "--cover", p["cover"], "--watermark", p["wm"],
+                "--out", p["marked"], "--key", p["key"]]) == 0
+    meta, payload = key_parts(p["key"])
+    write_key_parts(p["key"], mutate_meta(meta), payload)
+    return ["extract", "--marked", p["marked"], "--key", p["key"], "--out", p["out"]]
+
+
+def _sweep_argv(p, alphas="0.1", attacks="quantize-8bit"):
+    return ["sweep", "--cover", p["cover"], "--watermark", p["wm"], "--alphas", alphas,
+            "--attacks", attacks, "--out", p["out"] + ".csv"]
+
+
+def _attack_argv(p, *kind):
+    return ["attack", "--input", p["cover"], "--output", p["out"], "--kind", *kind]
+
+
+def _directory_target(p):
+    os.mkdir(p["out"])  # os.replace cannot put the written temp file there
+    return _attack_argv(p, "quantize-8bit")
+
+
+def _metrics_argv(p, name, data):
+    """Write ``data`` to image file ``name``, then compare it with the cover."""
+    path = os.path.join(os.path.dirname(p["cover"]), name)
+    Path(path).write_bytes(data)
+    return ["metrics", "--a", path, "--b", p["cover"]]
+
+
+# Each case builds its inputs in the scene and returns the argv and the
+# one error line it must give.
+REFUSALS = {
+    "output-is-a-directory": lambda p: (
+        _directory_target(p),
+        f"error: IOError: [Errno 21] Is a directory: '{p['out']}'"),
+    "pnm-zero-width": lambda p: (
+        _metrics_argv(p, "z.pgm", b"P5\n0 4\n255\n"),
+        "error: CodecError: bad image dimensions 4x0"),
+    "svdf-non-finite": lambda p: (
+        _metrics_argv(p, "nan.svdf", struct.pack("<4sHII", b"SVDF", 1, 1, 1)
+                    + np.float64(np.nan).tobytes()),
+        "error: CodecError: payload contains non-finite values"),
+    "key-meta-not-an-object": lambda p: (
+        _extract_argv(p, lambda meta: [meta]),
+        "error: MalformedSideInfo: key metadata root must be a JSON object"),
+    "key-zero-rows": lambda p: (
+        _extract_argv(p, lambda meta: dict(meta, rows=0)),
+        "error: MalformedSideInfo: bad dimensions 0x64"),
+    "seed-env-not-an-integer": lambda p: (
+        _attack_argv(p, "gaussian-noise", "--sigma", "1"),
+        "error: usage: SVDMARK_SEED must be an integer, got 'seven'"),
+    "attack-parameter-without-value": lambda p: (
+        _sweep_argv(p, attacks="gaussian-noise:sigma:seed=1"),
+        "error: usage: malformed attack parameter 'sigma'"),
+    "attack-value-not-a-number": lambda p: (
+        _sweep_argv(p, attacks="gaussian-noise:sigma=x:seed=1"),
+        "error: usage: malformed attack spec 'gaussian-noise:sigma=x:seed=1': "
+        "could not convert string to float: 'x'"),
+    "crop-rect-entry-not-an-integer": lambda p: (
+        _sweep_argv(p, attacks="crop:rect=0;0;a;2"),
+        "error: usage: malformed attack spec 'crop:rect=0;0;a;2': "
+        "invalid literal for int() with base 10: 'a'"),
+    "crop-rect-of-three": lambda p: (
+        _sweep_argv(p, attacks="crop:rect=0;0;4"),
+        "error: InvalidParameter: crop needs rect = (row0, col0, height, width)"),
+    "negative-noise-sigma": lambda p: (
+        _attack_argv(p, "gaussian-noise", "--sigma", "-1", "--seed", "1"),
+        "error: InvalidParameter: gaussian-noise needs sigma >= 0"),
+    "alphas-not-numbers": lambda p: (
+        _sweep_argv(p, alphas="0.1,x"),
+        "error: usage: malformed --alphas: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_is_one_error_line(scene, monkeypatch, capsys, case):
+    _, _, p = scene
+    if case == "seed-env-not-an-integer":
+        monkeypatch.setenv("SVDMARK_SEED", "seven")
+    else:
+        monkeypatch.delenv("SVDMARK_SEED", raising=False)
+    argv, line = REFUSALS[case](p)
+    before = sorted(os.listdir(os.path.dirname(p["cover"])))
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [line]
+    # Nothing written, and no temp file left beside the target.
+    assert sorted(os.listdir(os.path.dirname(p["cover"]))) == before
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # A 1 x 20000 cover asks LAPACK for a 20000 x 20000 V (2.98 GiB).  The
+    # child lowers its own address-space cap once numpy is loaded, so that
+    # allocation fails there and nothing is allocated here.
+    cover, out, key = (str(tmp_path / name) for name in ("c.pgm", "m.svdf", "k.svdk"))
+    sm.write_pgm(np.zeros((1, 20000)), cover)
+    script = ("import resource, sys\n"
+              "from svdmark.cli import cli_main\n"
+              "cap = 1_500_000_000\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+              "assert resource.getrlimit(resource.RLIMIT_AS) == (cap, cap)\n"
+              "sys.exit(cli_main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "embed", "--cover", cover, "--watermark", cover,
+         "--out", out, "--key", key],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: MemoryError: Unable to allocate 2.98 GiB")
+    assert os.listdir(tmp_path) == ["c.pgm"]

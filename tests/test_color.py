@@ -42,11 +42,15 @@ class TestLuminance:
         merged = sm.luminance_merge(img, np.full((1, 1), 42.0))
         assert (merged.r[0, 0], merged.g[0, 0], merged.b[0, 0]) == (11.0, 21.0, 31.0)
 
-    def test_merge_clipping(self):
+    def test_merge_clipping(self, tmp_path):
+        # Merging keeps the exact shift; only the 8-bit write clips.
         img = pixel_image(250, 250, 250)
         merged = sm.luminance_merge(img, np.full((1, 1), 520.0))
-        assert (merged.r[0, 0], merged.g[0, 0], merged.b[0, 0]) == (255.0, 255.0, 255.0)
-        assert sm.luminance_split(merged)[0, 0] == 510.0
+        assert (merged.r[0, 0], merged.g[0, 0], merged.b[0, 0]) == (260.0, 260.0, 260.0)
+        assert sm.luminance_split(merged)[0, 0] == 520.0
+        path = tmp_path / "merged.ppm"
+        sm.write_ppm(merged, str(path))
+        assert path.read_bytes()[-3:] == bytes([255, 255, 255])
 
     def test_preclip_luminance_exact(self, rgb128):
         # integral L' keeps the arithmetic exact: max' + min' must equal L'

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,15 @@ class TestDeriveMask:
             bits = np.unpackbits(sm.derive_mask(sm.Identity(bytes(flipped)), 64, 64).ravel())
             frac = float(np.mean(bits != base_bits))
             assert abs(frac - 0.5) <= th.AVALANCHE_TRIAL_TOL
+
+    @pytest.mark.parametrize("rows, cols", [(1, 32), (1, 33), (37, 29)])
+    def test_matches_counter_mode_reference(self, rows, cols):
+        # The documented stream: sha256(id || counter) for counters 0, 1, ...,
+        # concatenated and cut to rows * cols bytes (34 blocks at 37 x 29).
+        ident = b"alice|8f3a"
+        blocks = (hashlib.sha256(ident + c.to_bytes(8, "big")).digest() for c in range(34))
+        expected = np.frombuffer(b"".join(blocks)[: rows * cols], np.uint8).reshape(rows, cols)
+        np.testing.assert_array_equal(sm.derive_mask(sm.Identity(ident), rows, cols), expected)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -135,6 +146,22 @@ class TestXorMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInput):
             sm.xor_mask(np.array([[300]]), np.array([[1]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("operand, message", [
+        (np.zeros(4, dtype=np.uint8), "must be a non-empty 2-D array"),
+        (np.zeros((0, 4), dtype=np.uint8), "must be a non-empty 2-D array"),
+        (np.zeros((2, 2)), "must hold integers, got dtype float64"),
+    ])
+    def test_rejects_non_byte_matrices(self, operand, message):
+        with pytest.raises(InvalidInput, match=message):
+            sm.xor_mask(operand, np.zeros((2, 2), dtype=np.uint8))
+
+    def test_integers_in_range_act_as_bytes(self):
+        x = np.arange(16, dtype=np.int64).reshape(4, 4) * 17
+        m = np.full((4, 4), 0x0F, dtype=np.uint8)
+        out = sm.xor_mask(x, m)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, sm.xor_mask(x.astype(np.uint8), m))
 
     @settings(max_examples=200, deadline=None)
     @given(byte_matrices, byte_matrices)

@@ -172,6 +172,15 @@ class TestSideInfoValidation:
             sm.SideInfo(u=np.full((64, 64), 0.1), s=info.sigma, v=info.v, v_w=info.v_w,
                         alpha=0.1, rows=64, cols=64)
 
+    @pytest.mark.parametrize("rows, cols, v_w", [
+        (64, 63, None), (63, 64, None), (64, 64, np.eye(63)),
+    ])
+    def test_rejects_shape_that_does_not_conform(self, cover64, watermark64, rows, cols, v_w):
+        _, info = sm.embed(cover64, watermark64, 0.1)
+        with pytest.raises(DimensionError, match=f"do not conform to {rows}x{cols}"):
+            sm.SideInfo(u=info.u, s=info.sigma, v=info.v,
+                        v_w=info.v_w if v_w is None else v_w, alpha=0.1, rows=rows, cols=cols)
+
     def test_rejects_negative_alpha(self, cover64, watermark64):
         _, info = sm.embed(cover64, watermark64, 0.1)
         with pytest.raises(InvalidParameter):

@@ -129,6 +129,22 @@ def test_bundle_load_checks_every_record(orthogonality_checks, tmp_path, strateg
     assert len(orthogonality_checks) == 2 * records + 1
 
 
+@pytest.mark.parametrize("strategy", list(sm.ChannelStrategy))
+def test_embed_and_load_build_bundles_unchecked(monkeypatch, tmp_path, strategy):
+    # Their records share scheme, alpha, quant, shape and v_w by
+    # construction; a bundle a caller builds is still checked.
+    checked = []
+    monkeypatch.setattr(sm.SideInfoBundle, "__post_init__", lambda b: checked.append(b))
+    bundle, path = _saved_bundle(tmp_path, strategy)
+    loaded = sm.load_bundle(path)
+    assert checked == []
+    for b in (bundle, loaded):
+        assert b.strategy is strategy and isinstance(b.infos, tuple)
+        assert len(b.infos) == (3 if strategy is sm.ChannelStrategy.PER_CHANNEL else 1)
+    caller_built = sm.SideInfoBundle(strategy, loaded.infos)
+    assert len(checked) == 1 and checked[0] is caller_built
+
+
 RECORD_DEFECTS = {
     "u-not-orthogonal": lambda r: dict(r, u=r["u"] * 1.01),
     "v-not-orthogonal": lambda r: dict(r, v=r["v"] + 1e-3),
