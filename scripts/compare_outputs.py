@@ -10,15 +10,17 @@ fresh work directory.  The matrix covers PGM and SVDF covers of square
 and rectangular shapes, both schemes, good and bad alphas, extraction to
 every writer, verify-hash with the right and a wrong id, detect-reference
 with the watermark, an unrelated image, a wrong-shape and an overflowing
-reference, metrics, attacks, sweeps, the three colour strategies and
-keys of the wrong kind.  Its inputs are seeded images written by this
-script, so both trees read the same bytes.
+reference, metrics, attacks, sweeps (among them a 10-alpha grid, a
+constant watermark, and an alpha that fails first or last), the three
+colour strategies and keys of the wrong kind.  Its inputs are seeded
+images written by this script, so both trees read the same bytes.
 
 For every command the exit code, stdout, stderr and the bytes of every
-file it writes or removes are compared.  A difference in a command whose
-label matches an ``--expect-diff`` glob is reported and accepted; any
-other makes the exit code 1.  ``--quick`` runs a reduced matrix at
-16x16 and 12x16 in about a second per tree.
+file it writes or removes are compared; warnings are recorded by their
+category and message.  A difference in a command whose label matches an
+``--expect-diff`` glob is reported and accepted; any other makes the exit
+code 1.  ``--quick`` runs a reduced matrix at 16x16 and 12x16 in about a
+second per tree.
 """
 
 import argparse
@@ -65,6 +67,7 @@ def _write_inputs(shapes):
         _write_pnm(f"w{t}.pgm", rng.integers(0, 256, (rows, cols)))
         _write_pnm(f"r{t}.pgm", rng.integers(0, 256, (rows, cols)))
         _write_svdf(f"h{t}.svdf", np.full((rows, cols), 1e308))
+        _write_pnm(f"k{t}.pgm", np.full((rows, cols), 128))
         _write_pnm(f"col{t}.ppm", rng.integers(0, 256, (rows, cols, 3)))
     _write_pnm("wsmall.pgm", rng.integers(0, 256, (8, 8)))
     _write_pnm("q32.pgm", rng.integers(0, 256, (32, 32)))
@@ -135,9 +138,12 @@ def _matrix(quick):
                 "--out", f"{_name(label)}.svdf", "--key", f"{_name(label)}.svdk")
 
         sweep = ["sweep", "--cover", cw, "--watermark", wm]
+        four = "gaussian-noise:sigma=1:seed=7,quantize-8bit,crop:rect=0;0;8;8,rescale:scale=0.5"
         for what, alphas_arg, attacks, extra, env in (
-                ("attacks", "0.05,0.1", "gaussian-noise:sigma=1:seed=7,quantize-8bit,"
-                 "crop:rect=0;0;8;8,rescale:scale=0.5", [], None),
+                ("attacks", "0.05,0.1", four, [], None),
+                ("grid", ",".join(f"{0.05 * k:.2f}" for k in range(1, 11)), four, [], None),
+                ("tiny-alpha-first", "5e-324,0.1,0.2,0.3", "quantize-8bit", [], None),
+                ("tiny-alpha-last", "0.1,0.2,0.3,5e-324", "quantize-8bit", [], None),
                 ("rescale-1.7", "0.1", "rescale:scale=1.7", [], None),
                 ("bad-alphas", "0.1,0", "quantize-8bit", [], None),
                 ("overflow-alpha", "0.1,1e155", "quantize-8bit", [], None),
@@ -149,6 +155,8 @@ def _matrix(quick):
                 "--out", f"{_name(label)}.csv", env=env)
         add(f"{t}/sweep/overflow-cover", "sweep", "--cover", f"h{t}.svdf", "--watermark", wm,
             "--alphas", "0.1", "--attacks", "quantize-8bit", "--out", f"{_name(t)}-ovf.csv")
+        add(f"{t}/sweep/constant-watermark", "sweep", "--cover", cw, "--watermark", f"k{t}.pgm",
+            "--alphas", "0.1,0.2,0.3", "--attacks", four, "--out", f"{_name(t)}-const.csv")
 
         attack = ["attack", "--input", f"c{t}.svdf"]
         for what, args, env in (
@@ -226,6 +234,10 @@ def _worker(tree, workdir, quick):
     shapes, cmds = _matrix(quick)
     _write_inputs(shapes)
     warnings.simplefilter("always")  # each command prints its own warnings
+    # By category and message: a warning's location names the tree's own
+    # path and source line, which differ between any two checkouts.
+    warnings.showwarning = lambda message, category, *_: print(
+        f"{category.__name__}: {message}", file=sys.stderr)
     state, records = {}, []
     _changes(state, ())
     for label, argv, env in cmds:

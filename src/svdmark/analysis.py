@@ -71,9 +71,10 @@ def _correlate(a, b, stacklevel):
                       RuntimeWarning, stacklevel=stacklevel)
         return 0.0
     # Exact fixed points; the general formula can miss them by one ulp.
-    if np.array_equal(ac, bc):
+    # The first entries rule most pairs out before a full scan.
+    if ac[0] == bc[0] and np.array_equal(ac, bc):
         return 1.0
-    if np.array_equal(ac, -bc):
+    if ac[0] == -bc[0] and np.array_equal(ac, -bc):
         return -1.0
     nc = float(ac @ bc) / float(np.sqrt(da * db))
     return float(min(1.0, max(-1.0, nc)))
@@ -160,7 +161,12 @@ def _attack(spec, shape):
         noise = rng.normal(0.0, spec.sigma, shape)
         return lambda a: a + noise
     if spec.kind is AttackKind.QUANTIZE_8BIT:
-        return lambda a: np.clip(np.rint(a), 0.0, 255.0)
+
+        def quantize(a):
+            r = np.rint(a)
+            return np.clip(r, 0.0, 255.0, out=r)
+
+        return quantize
     if spec.kind is AttackKind.CROP:
         r0, c0, h, w = spec.rect
         if r0 + h > shape[0] or c0 + w > shape[1]:
@@ -256,6 +262,13 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     ``embed``, ``apply_attack``, ``extract`` and ``normalized_correlation``
     give for its alpha, to the bit.
     """
+    return _sweep(cover, watermark, alphas, attacks, workers=1)
+
+
+def _sweep(cover, watermark, alphas, attacks, workers):
+    """``robustness_sweep`` with its alphas spread over up to ``workers``
+    threads.  Its rows equal the sequential sweep's only when BLAS runs
+    on one thread, so the caller pins it for the whole sweep."""
     cover, watermark = _conforming_pair(cover, watermark)
     alphas = [_check_alpha(x) for x in alphas]
     attacks = list(attacks)
@@ -265,23 +278,65 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     f = svd(cover)
     a_wa, v_w = split_watermark(watermark)
     centred_wm = _centred(watermark)
-    rows = []
-    for alpha in alphas:
+
+    def alpha_row(alpha):
+        """The marked image's PSNR and each attack's NC at ``alpha``."""
         marked, mse = _mark(f, cover, a_wa, alpha)
-        fidelity = _psnr(mse)
-        for spec, attack in zip(attacks, attack_fns):
-            w_star = _unmark(f, attack(marked), alpha) @ v_w.T
-            centred = _centred(w_star)
-            if not math.isfinite(centred[1]):
-                # A NaN or Inf entry lands here (so does a norm that merely
-                # overflows); reject the former as normalized_correlation does.
-                as_matrix(w_star, "a")
-            rows.append(
-                SweepRow(
-                    alpha=alpha,
-                    attack=spec,
-                    psnr_db=fidelity,
-                    nc=_correlate(centred, centred_wm, stacklevel=2),
-                )
-            )
-    return RobustnessReport(rows=tuple(rows))
+        return _psnr(mse), [attack_nc(attack, marked, alpha) for attack in attack_fns]
+
+    def attack_nc(attack, marked, alpha):
+        # A function of its own, so that one attack's arrays are freed
+        # before the next attack allocates its own.
+        w_star = _unmark(f, attack(marked), alpha) @ v_w.T
+        centred = _centred(w_star)
+        if not math.isfinite(centred[1]):
+            # A NaN or Inf entry lands here (so does a norm that merely
+            # overflows); reject the former as normalized_correlation does.
+            as_matrix(w_star, "a")
+        return _correlate(centred, centred_wm, stacklevel=2)
+
+    return RobustnessReport(rows=tuple(
+        SweepRow(alpha=alpha, attack=spec, psnr_db=fidelity, nc=nc)
+        for alpha, (fidelity, ncs) in zip(alphas, _map(alpha_row, alphas, workers))
+        for spec, nc in zip(attacks, ncs)
+    ))
+
+
+def _map(fn, items, workers):
+    """``[fn(x) for x in items]`` on up to ``workers`` threads, the calling
+    thread one of them.  After the first failure no further item starts,
+    and the failure of the lowest-index item is raised: items are taken
+    in order and each one taken runs, so every item before it has run,
+    as in a plain loop."""
+    import contextvars
+    import threading
+
+    results, failures = [None] * len(items), {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised again below, in the calling thread
+                with lock:
+                    failures[i] = exc
+
+    # Each helper runs in a copy of this thread's context: NumPy 2 keeps
+    # errstate there, so the caller's ignored warnings stay ignored.
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(min(workers, len(items)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results

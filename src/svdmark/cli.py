@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, color, formats, invisible, semiblind
+from . import analysis, color, formats, invisible, matrix, semiblind
 from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
 from .errors import WatermarkError
 from .hashstream import Identity
@@ -266,10 +266,12 @@ def _cmd_sweep(args):
         raise _UsageError(f"malformed --alphas: {exc}")
     seed = _resolve_seed(args.seed)
     attacks = [_parse_attack(text, seed) for text in args.attacks.split(",") if text]
-    report = analysis.robustness_sweep(
-        formats.load_matrix(args.cover), formats.load_matrix(args.watermark),
-        alphas, attacks,
-    )
+    cover = formats.load_matrix(args.cover)
+    watermark = formats.load_matrix(args.watermark)
+    # Threads beat BLAS's own only while its pool sleeps, so BLAS stays on
+    # one thread for the whole sweep and the alphas get its cores instead.
+    with matrix._single_threaded_blas() as threads:
+        report = analysis._sweep(cover, watermark, alphas, attacks, workers=threads)
     formats._atomic_write(args.out, report.to_csv().encode("ascii"))
     print(f"report={args.out} rows={len(report.rows)}")
     return EXIT_OK

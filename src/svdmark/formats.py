@@ -62,7 +62,8 @@ def _atomic_write(path, *chunks):
 
 
 def _to_bytes_255(m):
-    return np.clip(np.rint(m), 0.0, 255.0).astype(np.uint8)
+    # In row order whatever ``m``'s layout, since writers stream the array.
+    return np.clip(np.rint(m), 0.0, 255.0).astype(np.uint8, order="C")
 
 
 # Magic, then width, height and maxval after whitespace and '#' comments.
@@ -111,7 +112,7 @@ def write_pgm(m, path):
     """Write a matrix as binary PGM, rounding and clipping to 0..255."""
     body = _to_bytes_255(as_matrix(m, "m"))
     header = f"P5\n{body.shape[1]} {body.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + body.tobytes())
+    _atomic_write(path, header, body)
 
 
 def read_ppm(path):
@@ -125,7 +126,7 @@ def write_ppm(img, path):
     planes = [_to_bytes_255(p) for p in img.channels()]
     body = np.stack(planes, axis=-1)
     header = f"P6\n{img.cols} {img.rows}\n255\n".encode("ascii")
-    _atomic_write(path, header + body.tobytes())
+    _atomic_write(path, header, body)
 
 
 def read_float_image(path):
@@ -155,7 +156,7 @@ def write_float_image(m, path):
     """Write a matrix to an SVDF container, preserving every bit."""
     m = as_matrix(m, "m")
     header = SVDF_HEADER.pack(SVDF_MAGIC, SVDF_VERSION, m.shape[0], m.shape[1])
-    _atomic_write(path, header + np.ascontiguousarray(m, dtype="<f8").tobytes())
+    _atomic_write(path, header, np.ascontiguousarray(m, dtype="<f8"))
 
 
 def _write_key(path, infos, strategy=None):

@@ -9,7 +9,9 @@ output bits, which is what makes stored side info replayable.
 
 One trust rule: ``svd`` output is valid by construction and built
 unchecked, once its singular values are known to be finite; factors from
-a caller or a key file are checked on construction.
+a caller or a key file are checked on construction.  ``svd`` also bounds
+what one decomposition may cost, and ``_single_threaded_blas`` lets a
+caller that brings its own threads keep numpy's OpenBLAS off its cores.
 """
 
 import numpy as np
@@ -18,6 +20,12 @@ from .errors import DimensionError, InvalidInput
 
 # Frobenius residual allowed for "orthogonal" factor matrices.
 ORTHOGONALITY_TOL = 1e-8
+
+# The most entries ``svd`` lets the factors of one input have, M² + N²:
+# 2 GiB of float64.  An M x N input costs that much however small it is
+# (a 1 x 20000 strip asks for a 3 GiB ``V``); every square input up to
+# 11585 x 11585 passes.
+MAX_FACTOR_ENTRIES = 2**28
 
 
 def as_matrix(a, name="matrix"):
@@ -89,9 +97,15 @@ def svd(a):
     applied directly.  The call is deterministic: identical input bits
     yield identical output bits.  LAPACK scales the singular values back
     up after the decomposition, so a finite input near the float64 limit
-    can overflow them; such an input fails with ``InvalidInput``.
+    can overflow them; such an input fails with ``InvalidInput``.  So
+    does one whose factors would exceed ``MAX_FACTOR_ENTRIES``, before
+    LAPACK runs.
     """
     a = as_matrix(a, "a")
+    m, n = a.shape
+    if m * m + n * n > MAX_FACTOR_ENTRIES:
+        raise InvalidInput(f"the SVD of a {m}x{n} matrix needs {8 * (m * m + n * n)} bytes "
+                           f"of factors, over the {8 * MAX_FACTOR_ENTRIES}-byte bound")
     u, sv, vt = np.linalg.svd(a, full_matrices=True)
     if not np.all(np.isfinite(sv)):  # LAPACK's rescaling can overflow
         raise InvalidInput("s contains NaN or Inf entries")
@@ -124,3 +138,50 @@ def orthogonality_residual(m):
     gram = m.T @ m
     gram.flat[:: m.shape[0] + 1] -= 1.0  # gram - I, without building I
     return float(np.linalg.norm(gram))
+
+
+_openblas = None  # numpy's OpenBLAS (get, set) thread-count functions; () if absent
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's
+    wheels bundle, looked up on first use; ``()`` under any other BLAS."""
+    global _openblas
+    if _openblas is None:
+        import ctypes
+
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
+        _openblas = ()
+        for prefix in ("scipy_openblas", "openblas"):  # numpy 2.x, 1.x wheels
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                _openblas = (get, set_)
+                break
+    return _openblas
+
+
+class _single_threaded_blas:
+    """Context manager: BLAS runs on one thread inside it, and gets back
+    its thread count on the way out.  Entering it gives that count, the
+    number of cores BLAS would use, or 1 (changing nothing) when numpy's
+    BLAS is not its bundled OpenBLAS."""
+
+    def __enter__(self):
+        self._blas = _openblas_threads()
+        if not self._blas:
+            return 1
+        get, set_ = self._blas
+        self._threads = get()
+        set_(1)
+        return self._threads
+
+    def __exit__(self, *exc):
+        if self._blas:
+            self._blas[1](self._threads)

@@ -103,7 +103,8 @@ def _mark(f, cover, payload, alpha):
     t[np.diag_indices(f.sigma.size)] += f.sigma
     marked = as_matrix(f.u @ t @ f.v.T, "marked")
     with np.errstate(over="ignore"):
-        mse = float(np.mean((marked - cover) ** 2))
+        d = marked - cover
+        mse = float(np.mean(np.square(d, out=d)))
     if mse == math.inf:
         raise InvalidParameter(f"alpha {alpha} overflows the marked image's PSNR")
     return marked, mse
@@ -114,7 +115,8 @@ def _unmark(f, marked, alpha):
     onto them leaves ``S + alpha * payload``."""
     t = f.u.T @ marked @ f.v
     t[np.diag_indices(f.sigma.size)] -= f.sigma
-    return t / alpha
+    t /= alpha
+    return t
 
 
 def embed(cover, watermark, alpha=DEFAULT_ALPHA):

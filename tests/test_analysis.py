@@ -1,10 +1,13 @@
 import hashlib
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import svdmark as sm
+from svdmark import analysis, matrix
 from svdmark.errors import DimensionError, InvalidInput, InvalidParameter
 
 import thresholds as th
@@ -404,3 +407,55 @@ def test_sweep_rejects_alpha_with_overflowing_psnr(small_scene, alpha):
     with pytest.raises(InvalidParameter, match=re.escape(f"alpha {alpha} overflows")):
         sm.robustness_sweep(cover, wm, [0.1, alpha],
                             [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)])
+
+
+class TestThreadedSweep:
+    """``analysis._map`` and the CLI's ``_sweep`` over several threads."""
+
+    @staticmethod
+    def map_in_time(fn, items, workers):
+        # Under a short switch interval, so threads interleave often; the
+        # map runs in a thread joined with a timeout, so a hang fails.
+        out, interval = {}, sys.getswitchinterval()
+
+        def target():
+            try:
+                out["value"] = analysis._map(fn, items, workers)
+            except ValueError as exc:
+                out["error"] = exc
+
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=target)
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+        return out
+
+    def test_each_item_runs_once(self):
+        ran = []
+        out = self.map_in_time(lambda x: (ran.append(x), x * x)[1], list(range(400)), 8)
+        assert out == {"value": [x * x for x in range(400)]}
+        assert sorted(ran) == list(range(400))
+
+    def test_lowest_failure_raised_after_every_earlier_item(self):
+        ran = []
+
+        def fn(x):
+            ran.append(x)
+            if x in (100, 300):
+                raise ValueError(x)
+            return x
+
+        out = self.map_in_time(fn, list(range(400)), 8)
+        assert out["error"].args == (100,)
+        assert set(range(101)) <= set(ran) and len(ran) == len(set(ran))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (24, 40), (40, 24)])
+    def test_rows_equal_the_sequential_sweep_with_blas_pinned(self, shape):
+        cover, wm = seeded_matrix(21, *shape), seeded_matrix(22, *shape)
+        args = (cover, wm, [0.02, 0.05, 0.1, 0.2, 0.5], TestSweepEquivalence.ATTACKS)
+        with matrix._single_threaded_blas():
+            assert analysis._sweep(*args, workers=3) == sm.robustness_sweep(*args)

@@ -750,11 +750,12 @@ def test_refusal_is_one_error_line(scene, monkeypatch, capsys, case):
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):
-    # A 1 x 20000 cover asks LAPACK for a 20000 x 20000 V (2.98 GiB).  The
-    # child lowers its own address-space cap once numpy is loaded, so that
-    # allocation fails there and nothing is allocated here.
+    # A 1 x 16383 cover, the longest strip matrix.MAX_FACTOR_ENTRIES admits,
+    # asks LAPACK for a 16383 x 16383 V (2.00 GiB).  The child lowers its
+    # own address-space cap once numpy is loaded, so that allocation fails
+    # there and nothing is allocated here.
     cover, out, key = (str(tmp_path / name) for name in ("c.pgm", "m.svdf", "k.svdk"))
-    sm.write_pgm(np.zeros((1, 20000)), cover)
+    sm.write_pgm(np.zeros((1, 16383)), cover)
     script = ("import resource, sys\n"
               "from svdmark.cli import cli_main\n"
               "cap = 1_500_000_000\n"
@@ -769,5 +770,5 @@ def test_out_of_memory_is_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
-    assert line.startswith("error: MemoryError: Unable to allocate 2.98 GiB")
+    assert line.startswith("error: MemoryError: Unable to allocate 2.00 GiB")
     assert os.listdir(tmp_path) == ["c.pgm"]

@@ -38,6 +38,20 @@ class TestPgm:
         data = path.read_bytes()
         assert data == b"P5\n2 2\n255\n" + bytes([0x00, 0xFF, 0x80, 0x01])
 
+    @pytest.mark.parametrize("layout", ["transposed", "strided"])
+    def test_writers_take_any_memory_layout(self, tmp_path, layout):
+        # The payload is written straight from the array, in row order.
+        m = np.rint(seeded_matrix(2, 6, 10))
+        view = m.T if layout == "transposed" else m[:, ::2]
+        sm.write_pgm(view, str(tmp_path / "v.pgm"))
+        sm.write_pgm(view.copy(), str(tmp_path / "c.pgm"))
+        sm.write_float_image(view, str(tmp_path / "v.svdf"))
+        sm.write_ppm(sm.RgbImage(r=view, g=view, b=view), str(tmp_path / "v.ppm"))
+        assert (tmp_path / "v.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes()
+        np.testing.assert_array_equal(sm.read_pgm(str(tmp_path / "v.pgm")), view)
+        np.testing.assert_array_equal(sm.read_float_image(str(tmp_path / "v.svdf")), view)
+        np.testing.assert_array_equal(sm.read_ppm(str(tmp_path / "v.ppm")).b, view)
+
     def test_write_rounds_and_clips(self, tmp_path):
         path = tmp_path / "clip.pgm"
         sm.write_pgm(np.array([[-5.0, 260.0], [99.5, 100.5]]), str(path))

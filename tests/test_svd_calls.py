@@ -13,14 +13,20 @@ reference image and trusts its fresh SVD, so it checks none.
 Every embed, from the library or the CLI, checks its arguments (and the
 CLI its ``--out`` name) before the first SVD, so a refused embed runs
 none.  Every other command that writes an image checks that path before
-it reads any input, so a refused one does no work either.
+it reads any input, so a refused one does no work either.  An input
+whose factors would pass ``matrix.MAX_FACTOR_ENTRIES`` reaches ``svd``
+but never LAPACK.
 """
 
 import math
+import os
+import re
 import sys
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import svdmark as sm
@@ -288,3 +294,55 @@ def test_output_path_checked_before_any_work(svd_calls, tmp_path, capsys, comman
     for name in inputs:
         (tmp_path / name).unlink()
     _refused(tmp_path, capsys, argv, "UnsupportedFormat", [])
+
+
+@pytest.fixture()
+def lapack_calls(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: (calls.append(a), original(*a, **k))[1])
+    return calls
+
+
+# Just past matrix.MAX_FACTOR_ENTRIES: 1 + 16385² > 2**28.  Their factors
+# would take 2 GiB, for an input of 128 KiB.
+STRIPS = [(1, 16385), (16385, 1)]
+
+
+@pytest.mark.parametrize("shape", STRIPS)
+def test_svd_refuses_factors_past_the_bound(lapack_calls, shape):
+    tracemalloc.start()
+    try:
+        with pytest.raises(sm.InvalidInput, match=re.escape(
+                f"the SVD of a {shape[0]}x{shape[1]} matrix needs 2147745808 bytes of "
+                f"factors, over the 2147483648-byte bound")):
+            matrix.svd(np.zeros(shape))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert lapack_calls == []
+    # The largest strip the bound admits still reaches LAPACK.
+    assert 1 + 16383**2 <= matrix.MAX_FACTOR_ENTRIES < 1 + 16384**2
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed"], ["embed-hash", "--id", "alice|8f3a9c"],
+    ["embed", "--strategy", "perchannel"], ["sweep"]], ids=lambda a: " ".join(a[:3]))
+def test_cli_refuses_a_strip_past_the_bound(lapack_calls, tmp_path, capsys, argv):
+    colour = "--strategy" in argv
+    cover, wm = str(tmp_path / ("c.ppm" if colour else "c.pgm")), str(tmp_path / "w.pgm")
+    strip = np.zeros(STRIPS[0])
+    if colour:
+        sm.write_ppm(sm.RgbImage(r=strip, g=strip, b=strip), cover)
+    else:
+        sm.write_pgm(strip, cover)
+    sm.write_pgm(strip, wm)
+    if argv == ["sweep"]:
+        argv = [*argv, "--alphas", "0.1,0.2", "--attacks", "quantize-8bit",
+                "--out", str(tmp_path / "r.csv")]
+    else:
+        argv = [*argv, "--out", str(tmp_path / f"m{os.path.splitext(cover)[1]}"),
+                "--key", str(tmp_path / "k.svdk")]
+    _refused(tmp_path, capsys, [*argv, "--cover", cover, "--watermark", wm], "InvalidInput",
+             [os.path.basename(cover), "w.pgm"])
+    assert lapack_calls == []
