@@ -268,9 +268,10 @@ def _cmd_sweep(args):
     attacks = [_parse_attack(text, seed) for text in args.attacks.split(",") if text]
     cover = formats.load_matrix(args.cover)
     watermark = formats.load_matrix(args.watermark)
-    # Threads beat BLAS's own only while its pool sleeps, so BLAS stays on
-    # one thread for the whole sweep and the alphas get its cores instead.
-    with matrix._single_threaded_blas() as threads:
+    # Threads beat BLAS's own only while its pool sleeps, so when two or
+    # more alphas can share BLAS's cores, BLAS stays on one thread for the
+    # whole sweep and the alphas get its cores instead.
+    with matrix._single_threaded_blas(len(alphas)) as threads:
         report = analysis._sweep(cover, watermark, alphas, attacks, workers=threads)
     formats._atomic_write(args.out, report.to_csv().encode("ascii"))
     print(f"report={args.out} rows={len(report.rows)}")

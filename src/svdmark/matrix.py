@@ -144,44 +144,48 @@ _openblas = None  # numpy's OpenBLAS (get, set) thread-count functions; () if ab
 
 
 def _openblas_threads():
-    """The thread-count getter and setter of the OpenBLAS that numpy's
-    wheels bundle, looked up on first use; ``()`` under any other BLAS."""
+    """The thread-count getter and setter of the OpenBLAS that numpy 2's
+    wheels bundle, looked up on first use; ``()`` under any other BLAS,
+    and under numpy 1.x, whose ``errstate`` a new thread does not inherit."""
     global _openblas
     if _openblas is None:
+        _openblas = ()
+        if int(np.__version__.split(".")[0]) < 2:
+            return _openblas
         import ctypes
 
-        try:
-            from numpy._core import _multiarray_umath
-        except ImportError:  # numpy 1.x
-            from numpy.core import _multiarray_umath
+        from numpy._core import _multiarray_umath
+
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
-        _openblas = ()
-        for prefix in ("scipy_openblas", "openblas"):  # numpy 2.x, 1.x wheels
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                _openblas = (get, set_)
-                break
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get and set_:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            _openblas = (get, set_)
     return _openblas
 
 
-class _single_threaded_blas:
-    """Context manager: BLAS runs on one thread inside it, and gets back
-    its thread count on the way out.  Entering it gives that count, the
-    number of cores BLAS would use, or 1 (changing nothing) when numpy's
-    BLAS is not its bundled OpenBLAS."""
+def _single_threaded_blas(jobs):
+    """Context manager for a caller with ``jobs`` tasks to spread over its
+    own threads.  It gives how many threads to use: BLAS's thread count,
+    capped by ``jobs``.  When that is 2 or more, BLAS runs on one thread
+    inside it and gets its count back on the way out; otherwise, or when
+    numpy's BLAS is not its bundled OpenBLAS, it gives 1 and changes
+    nothing."""
+    import contextlib  # loaded by numpy already
 
-    def __enter__(self):
-        self._blas = _openblas_threads()
-        if not self._blas:
-            return 1
-        get, set_ = self._blas
-        self._threads = get()
-        set_(1)
-        return self._threads
+    @contextlib.contextmanager
+    def pinned():
+        blas = _openblas_threads()
+        threads = blas[0]() if blas else 1
+        if min(threads, jobs) < 2:
+            yield 1
+            return
+        blas[1](1)
+        try:
+            yield min(threads, jobs)
+        finally:
+            blas[1](threads)
 
-    def __exit__(self, *exc):
-        if self._blas:
-            self._blas[1](self._threads)
+    return pinned()

@@ -457,5 +457,5 @@ class TestThreadedSweep:
     def test_rows_equal_the_sequential_sweep_with_blas_pinned(self, shape):
         cover, wm = seeded_matrix(21, *shape), seeded_matrix(22, *shape)
         args = (cover, wm, [0.02, 0.05, 0.1, 0.2, 0.5], TestSweepEquivalence.ATTACKS)
-        with matrix._single_threaded_blas():
+        with matrix._single_threaded_blas(3):
             assert analysis._sweep(*args, workers=3) == sm.robustness_sweep(*args)

@@ -5,8 +5,9 @@ count is fixed when numpy loads.
 spreads its alphas over as many threads as BLAS had, the calling thread
 one of them.  Its CSV must not change: under 1 and under 2 BLAS threads
 the canonical scene's CSV hashes to ``SWEEP_256_CSV_SHA256``.  Afterwards
-BLAS has its thread count back, also after a failing sweep.  Where the
-OpenBLAS functions cannot be found, no thread starts.  The library's
+BLAS has its thread count back, also after a failing sweep.  A sweep of
+one alpha, and a sweep where the OpenBLAS functions cannot be found,
+starts no thread and leaves BLAS alone.  The library's
 ``robustness_sweep`` stays sequential and never touches BLAS.
 """
 
@@ -28,7 +29,7 @@ SCRIPT = """
 import hashlib, json, os, sys, threading
 import svdmark as sm
 import thresholds as th
-from svdmark import matrix
+from svdmark import analysis, matrix
 from svdmark.cli import cli_main
 
 started = []
@@ -37,6 +38,13 @@ threading.Thread.start = lambda t: (started.append(t), start(t))[1]
 
 def blas_threads():
     return matrix._openblas[0]() if matrix._openblas else None
+
+during = []
+sweep_body = analysis._sweep
+def counted_sweep(*args, **kwargs):
+    during.append(blas_threads())
+    return sweep_body(*args, **kwargs)
+analysis._sweep = counted_sweep
 
 os.chdir(sys.argv[1])
 cover = sm.synthetic_image(256, 256, th.COVER_SEED, roughness=2.0, contrast=52.0)
@@ -52,10 +60,10 @@ alphas = [round(0.05 * k, 2) for k in range(1, 11)]
 report = {}
 
 def step(name, run):
-    del started[:]
+    del started[:], during[:]
     value = run()
     report[name] = {"value": value, "threads_started": len(started),
-                    "blas_threads_after": blas_threads()}
+                    "blas_threads_during": during[:], "blas_threads_after": blas_threads()}
 
 def sweep(alphas_arg, out="r.csv"):
     code = cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm",
@@ -72,6 +80,7 @@ def library():
 step("library", library)
 report["blas_found"] = bool(matrix._openblas_threads())
 step("cli", lambda: sweep(",".join(map(str, alphas))))
+step("cli_one_alpha", lambda: sweep("0.1", "r1.csv")[0])
 step("cli_failing", lambda: cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm",
                                       "--alphas", "0.1,0.2,5e-324", "--attacks",
                                       "quantize-8bit", "--out", "bad.csv"]))
@@ -99,12 +108,18 @@ def test_cli_sweep_threads(threads, tmp_path):
     assert r["blas_found"]
     # The library sweep starts no thread and never looks BLAS up.
     assert r["library"] == {"value": [True, th.SWEEP_256_CSV_SHA256], "threads_started": 0,
-                            "blas_threads_after": None}
-    # One thread per BLAS thread, the calling one included.
+                            "blas_threads_during": [None], "blas_threads_after": None}
+    # One thread per BLAS thread, the calling one included, with BLAS on one.
     assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256], "threads_started": threads - 1,
-                        "blas_threads_after": threads}
+                        "blas_threads_during": [1], "blas_threads_after": threads}
     assert r["cli_failing"] == {"value": 1, "threads_started": threads - 1,
-                                "blas_threads_after": threads}
+                                "blas_threads_during": [1], "blas_threads_after": threads}
+    # One alpha cannot share the cores, so BLAS keeps them.
+    assert r["cli_one_alpha"] == {"value": 0, "threads_started": 0,
+                                  "blas_threads_during": [threads],
+                                  "blas_threads_after": threads}
     # Without the OpenBLAS functions the sweep runs on the calling thread.
     assert r["cli_no_blas_lookup"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
-                                       "threads_started": 0, "blas_threads_after": threads}
+                                       "threads_started": 0,
+                                       "blas_threads_during": [threads],
+                                       "blas_threads_after": threads}
