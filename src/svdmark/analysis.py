@@ -7,7 +7,9 @@ extraction residue has a non-zero mean after quantization, and centering
 keeps wrong-key scores concentrated near zero.
 """
 
+import contextvars
 import math
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -291,8 +293,8 @@ def _sweep(cover, watermark, alphas, attacks, workers):
         centred = _centred(w_star)
         if not math.isfinite(centred[1]):
             # A NaN or Inf entry lands here (so does a norm that merely
-            # overflows); reject the former as normalized_correlation does.
-            as_matrix(w_star, "a")
+            # overflows); reject the former, naming the alpha that made it.
+            as_matrix(w_star, f"the watermark recovered at alpha {alpha}")
         return _correlate(centred, centred_wm, stacklevel=2)
 
     return RobustnessReport(rows=tuple(
@@ -303,37 +305,30 @@ def _sweep(cover, watermark, alphas, attacks, workers):
 
 
 def _map(fn, items, workers):
-    """``[fn(x) for x in items]`` on up to ``workers`` threads, the calling
-    thread one of them.  After the first failure no further item starts,
-    and the failure of the lowest-index item is raised: items are taken
-    in order and each one taken runs, so every item before it has run,
-    as in a plain loop."""
-    import contextvars
-    import threading
-
+    """``[fn(x) for x in items]`` on ``w = min(workers, len(items))``
+    threads, the calling one included: thread ``k`` runs items ``k``,
+    ``k + w``, ... and stops at its own first failure; the others finish
+    theirs.  After the joins the lowest failing item's error is raised.
+    Every item before it ran, since a thread stops only at its own failure."""
+    w = max(1, min(workers, len(items)))
     results, failures = [None] * len(items), {}
-    order, lock = iter(range(len(items))), threading.Lock()
 
-    def work():
-        while True:
-            with lock:
-                i = None if failures else next(order, None)
-            if i is None:
-                return
+    def work(k):
+        for i in range(k, len(items), w):
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:  # raised again below, in the calling thread
-                with lock:
-                    failures[i] = exc
+                failures[i] = exc
+                return
 
     # Each helper runs in a copy of this thread's context: NumPy 2 keeps
     # errstate there, so the caller's ignored warnings stay ignored.
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(min(workers, len(items)) - 1)]
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, k))
+               for k in range(1, w)]
     for t in helpers:
         t.start()
     try:
-        work()
+        work(0)
     finally:
         for t in helpers:
             t.join()

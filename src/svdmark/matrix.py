@@ -14,6 +14,9 @@ what one decomposition may cost, and ``_single_threaded_blas`` lets a
 caller that brings its own threads keep numpy's OpenBLAS off its cores.
 """
 
+import contextlib
+import ctypes
+
 import numpy as np
 
 from .errors import DimensionError, InvalidInput
@@ -140,7 +143,7 @@ def orthogonality_residual(m):
     return float(np.linalg.norm(gram))
 
 
-_openblas = None  # numpy's OpenBLAS (get, set) thread-count functions; () if absent
+_openblas = None if int(np.__version__.split(".")[0]) >= 2 else ()  # then (get, set) or ()
 
 
 def _openblas_threads():
@@ -149,16 +152,12 @@ def _openblas_threads():
     and under numpy 1.x, whose ``errstate`` a new thread does not inherit."""
     global _openblas
     if _openblas is None:
-        _openblas = ()
-        if int(np.__version__.split(".")[0]) < 2:
-            return _openblas
-        import ctypes
-
-        from numpy._core import _multiarray_umath
+        from numpy._core import _multiarray_umath  # numpy 2 only
 
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
         get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        _openblas = ()
         if get and set_:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -166,26 +165,20 @@ def _openblas_threads():
     return _openblas
 
 
+@contextlib.contextmanager
 def _single_threaded_blas(jobs):
     """Context manager for a caller with ``jobs`` tasks to spread over its
-    own threads.  It gives how many threads to use: BLAS's thread count,
-    capped by ``jobs``.  When that is 2 or more, BLAS runs on one thread
-    inside it and gets its count back on the way out; otherwise, or when
-    numpy's BLAS is not its bundled OpenBLAS, it gives 1 and changes
-    nothing."""
-    import contextlib  # loaded by numpy already
-
-    @contextlib.contextmanager
-    def pinned():
-        blas = _openblas_threads()
-        threads = blas[0]() if blas else 1
-        if min(threads, jobs) < 2:
-            yield 1
-            return
-        blas[1](1)
-        try:
-            yield min(threads, jobs)
-        finally:
-            blas[1](threads)
-
-    return pinned()
+    own threads; it gives how many to use, BLAS's thread count capped by
+    ``jobs``.  When that is 2 or more, BLAS runs on one thread inside it
+    and gets its count back on the way out, even on an exception; else,
+    or without numpy's bundled OpenBLAS, it gives 1 and changes nothing."""
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else 1
+    if min(threads, jobs) < 2:
+        yield 1
+        return
+    blas[1](1)
+    try:
+        yield min(threads, jobs)
+    finally:
+        blas[1](threads)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,3 +52,21 @@ def dense_s(f):
     s = np.zeros((len(f.u), len(f.v)))
     np.fill_diagonal(s, f.sigma)
     return s
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_with_blas_threads(script, *args, threads=None):
+    """Run ``script`` with ``args`` in a fresh interpreter, since the BLAS
+    thread count is fixed when numpy loads, under ``threads`` OpenBLAS
+    threads, or BLAS's own default when ``None``; return its last stdout
+    line, parsed as JSON."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -8,14 +8,7 @@ the last bits of ``V``, ``V_w``, the marked images and the extracted
 watermarks.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
+from conftest import run_with_blas_threads
 
 PIPELINE = """
 import hashlib, json
@@ -49,15 +42,8 @@ print(json.dumps({
 STABLE = {"u", "s", "keyed_bytes", "sweep_csv"}
 
 
-def _run(threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
-    proc = subprocess.run([sys.executable, "-c", PIPELINE], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
-
-
 def test_outputs_across_blas_thread_counts():
-    one, two, one_again, two_again = _run(1), _run(2), _run(1), _run(2)
+    one, two, one_again, two_again = (run_with_blas_threads(PIPELINE, threads=t)
+                                       for t in (1, 2, 1, 2))
     assert one == one_again and two == two_again
     assert {k: one[k] for k in STABLE} == {k: two[k] for k in STABLE}

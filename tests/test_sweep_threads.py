@@ -3,27 +3,21 @@ count is fixed when numpy loads.
 
 ``sweep`` pins numpy's OpenBLAS to one thread for the whole command and
 spreads its alphas over as many threads as BLAS had, the calling thread
-one of them.  Its CSV must not change: under 1 and under 2 BLAS threads
-the canonical scene's CSV hashes to ``SWEEP_256_CSV_SHA256``.  Afterwards
-BLAS has its thread count back, also after a failing sweep.  A sweep of
-one alpha, and a sweep where the OpenBLAS functions cannot be found,
-starts no thread and leaves BLAS alone.  The library's
-``robustness_sweep`` stays sequential and never touches BLAS.
+one of them.  Its CSV must not change: under 1 and under 2 BLAS threads,
+and at BLAS's own default count, the canonical scene's CSV hashes to
+``SWEEP_256_CSV_SHA256``.  Afterwards BLAS has its thread count back,
+also after a failing sweep.  A sweep of one alpha, and a sweep where the
+OpenBLAS functions cannot be found, starts no thread and leaves BLAS
+alone.  A failing alpha is named in the one error line, whichever thread
+meets it.  The library's ``robustness_sweep`` stays sequential and never
+touches BLAS.
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import thresholds as th
+from conftest import run_with_blas_threads
 from svdmark import matrix
-
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 
 SCRIPT = """
 import hashlib, json, os, sys, threading
@@ -79,6 +73,7 @@ def library():
 
 step("library", library)
 report["blas_found"] = bool(matrix._openblas_threads())
+report["blas_threads"] = blas_threads()
 step("cli", lambda: sweep(",".join(map(str, alphas))))
 step("cli_one_alpha", lambda: sweep("0.1", "r1.csv")[0])
 step("cli_failing", lambda: cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm",
@@ -90,21 +85,11 @@ print(json.dumps(report))
 """
 
 
-def _run(threads, tmp_path):
-    work = tmp_path / f"threads{threads}"
-    work.mkdir()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(work)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 @pytest.mark.skipif(not matrix._openblas_threads(),
                     reason="numpy's BLAS is not its bundled OpenBLAS")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_cli_sweep_threads(threads, tmp_path):
-    r = _run(threads, tmp_path)
+    r = run_with_blas_threads(SCRIPT, str(tmp_path), threads=threads)
     assert r["blas_found"]
     # The library sweep starts no thread and never looks BLAS up.
     assert r["library"] == {"value": [True, th.SWEEP_256_CSV_SHA256], "threads_started": 0,
@@ -123,3 +108,47 @@ def test_cli_sweep_threads(threads, tmp_path):
                                        "threads_started": 0,
                                        "blas_threads_during": [threads],
                                        "blas_threads_after": threads}
+
+
+@pytest.mark.skipif(not matrix._openblas_threads(),
+                    reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_cli_sweep_threads_at_blas_default(tmp_path):
+    # Neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is set, so BLAS
+    # picks its own count (the core count), the one case that can start
+    # more than one helper.
+    r = run_with_blas_threads(SCRIPT, str(tmp_path))
+    threads = r["blas_threads"]
+    assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
+                        "threads_started": min(threads, 10) - 1,
+                        "blas_threads_during": [1], "blas_threads_after": threads}
+
+
+TINY_ALPHA = """
+import contextlib, io, json, os, sys
+import svdmark as sm
+import thresholds as th
+from svdmark.cli import cli_main
+
+os.chdir(sys.argv[1])
+sm.write_pgm(sm.synthetic_image(64, 64, th.COVER_SEED, roughness=2.0, contrast=52.0), "c.pgm")
+sm.write_pgm(sm.synthetic_image(64, 64, th.WM_SEED, roughness=1.2, contrast=70.0), "w.pgm")
+runs = []
+for alphas in ("5e-324,0.1,0.2,0.3", "0.1,0.2,0.3,5e-324"):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm", "--alphas",
+                         alphas, "--attacks", "quantize-8bit", "--out", "r.csv"])
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tiny_alpha_is_named_in_one_error_line(threads, tmp_path):
+    # Recovery at alpha 5e-324 divides by it and overflows; whichever
+    # thread meets that alpha, first or last, the error names it.
+    line = ("error: InvalidInput: the watermark recovered at alpha 5e-324 "
+            "contains NaN or Inf entries\n")
+    assert run_with_blas_threads(TINY_ALPHA, str(tmp_path), threads=threads) == [
+        [1, "", line], [1, "", line]]
+    assert not (tmp_path / "r.csv").exists()
