@@ -8,12 +8,13 @@ matrix of CLI commands in a subprocess of its own, which imports
 ``svdmark`` from ``TREE/src`` and calls ``cli_main`` in-process from a
 fresh work directory.  The matrix covers PGM and SVDF covers of square
 and rectangular shapes, both schemes, good and bad alphas (a subnormal
-one followed through every command that reads its key), extraction to
+one followed through every command that would read its key), extraction to
 every writer, verify-hash with the right and a wrong id, detect-reference
 with the watermark, an unrelated image, a wrong-shape and an overflowing
-reference, metrics, attacks, sweeps (among them a 10-alpha grid, a
-constant watermark, and an alpha that fails first or last), the three
-colour strategies and keys of the wrong kind.  Its inputs are seeded
+reference, every reader on a marked image whose recovery overflows,
+metrics, attacks, sweeps (among them a 10-alpha grid, a constant
+watermark, and an alpha that fails first or last), the three colour
+strategies and keys of the wrong kind.  Its inputs are seeded
 images written by this script, so both trees read the same bytes.
 
 For every command the exit code, stdout, stderr and the bytes of every
@@ -104,7 +105,7 @@ def _matrix(quick):
                     add(f"{base}/embed", embed, "--cover", cover, "--watermark", wm,
                         *ident, "--alpha", alpha, "--out", marked, "--key", key)
                     # The others are refused, so there is no key to read back;
-                    # a subnormal one is embedded, but its recovery overflows.
+                    # a subnormal one is too, and its readers show it wrote none.
                     if alpha not in ("0.1", "2", "5e-324"):
                         continue
                     run = ["--marked", marked, "--key", key]
@@ -136,6 +137,17 @@ def _matrix(quick):
                 "--out", f"{_name(pgm_out)}.pgm", "--key", f"{_name(pgm_out)}.svdk")
             add(f"{pgm_out}/extract", "extract", "--marked", f"{_name(pgm_out)}.pgm",
                 "--key", f"{_name(pgm_out)}.svdk", "--out", f"x-{_name(pgm_out)}.svdf")
+        # Every reader of the all-1e308 image overflows its recovery.
+        semi, keyed = (f"k-{_name(f'{t}/pgm/{e}/a=0.1')}.svdk" for e in ("embed", "embed-hash"))
+        ovf, n = ["--marked", f"h{t}.svdf"], _name(f"{t}/overflow-marked")
+        for what, argv in (
+                ("extract", ["extract", "--key", semi, "--out", f"x-{n}.svdf"]),
+                ("extract-hash", ["extract-hash", "--key", keyed, "--id", ID,
+                                  "--out", f"e-{n}.svdf"]),
+                ("verify-hash", ["verify-hash", "--key", keyed, "--id", ID, "--claimed", wm]),
+                ("detect-reference", ["detect-reference", "--key", semi, "--reference", wm,
+                                      "--out", f"p-{n}.svdf"])):
+            add(f"{t}/overflow-marked/{what}", *argv, *ovf)
         for resize in ([], ["--resize-watermark"]):
             label = f"{t}/embed/small-watermark{''.join(resize)}"
             add(label, "embed", "--cover", cw, "--watermark", "wsmall.pgm", *resize,

@@ -289,13 +289,8 @@ def _sweep(cover, watermark, alphas, attacks, workers):
     def attack_nc(attack, marked, alpha):
         # A function of its own, so that one attack's arrays are freed
         # before the next attack allocates its own.
-        w_star = _unmark(f, attack(marked), alpha) @ v_w.T
-        centred = _centred(w_star)
-        if not math.isfinite(centred[1]):
-            # A NaN or Inf entry lands here (so does a norm that merely
-            # overflows); reject the former, naming the alpha that made it.
-            as_matrix(w_star, f"the watermark recovered at alpha {alpha}")
-        return _correlate(centred, centred_wm, stacklevel=2)
+        w_star = _unmark(f, attack(marked), alpha, v_w)
+        return _correlate(_centred(w_star), centred_wm, stacklevel=2)
 
     return RobustnessReport(rows=tuple(
         SweepRow(alpha=alpha, attack=spec, psnr_db=fidelity, nc=nc)

@@ -110,21 +110,24 @@ def _mark(f, cover, payload, alpha):
     return marked, mse
 
 
-def _unmark(f, marked, alpha):
-    """Inverse of ``_mark``: ``U`` and ``V`` are orthogonal, so projecting
-    onto them leaves ``S + alpha * payload``."""
+def _unmark(f, marked, alpha, basis=None):
+    """Inverse of ``_mark``, then projected onto ``basis`` (``V_w``) if given.
+    The one check of every reader's and the sweep's recovery: NaN or Inf
+    entries (an overflowing marked image, a tiny alpha) are refused here."""
     t = f.u.T @ marked @ f.v
     t[np.diag_indices(f.sigma.size)] -= f.sigma
     t /= alpha
-    return t
+    if basis is not None:
+        t = t @ basis.T
+    return as_matrix(t, f"the watermark recovered at alpha {alpha}")
 
 
 def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     """Embed ``watermark`` into ``cover`` with strength ``alpha``.
 
-    Returns ``(marked, side_info)``.  The marked image is real-valued;
-    clipping to an 8-bit range is a file-format concern, not part of the
-    scheme.  ``alpha`` must be finite and positive (``InvalidParameter``).
+    Returns ``(marked, side_info)``, the marked image real-valued (clipping
+    to 8 bits is a file-format concern).  ``alpha`` must be finite, positive
+    and large enough to recover from (``InvalidParameter``).
     """
     (marked,), (info,) = _embed_planes([cover], watermark, SchemeTag.SEMI_BLIND, alpha, None)
     return marked, info
@@ -134,10 +137,10 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     """Either scheme's embed of one watermark into same-shaped cover planes.
 
     The one place that decides between the schemes: the keyed scheme takes
-    an identity, and its masked payload is built once and shared by every
-    plane.  Every argument is checked before the first SVD, and each side
-    info is built unchecked from them and fresh ``svd`` factors.  Returns
-    ``(marked_planes, side_infos)``.
+    an identity and builds its masked payload once for every plane.  All
+    arguments are checked before the first SVD, bar an alpha too small for
+    a plane's sigma; side infos are built unchecked from fresh ``svd``
+    factors.  Returns ``(marked_planes, side_infos)``.
     """
     scheme = SchemeTag(scheme)
     cover, w = _conforming_pair(planes[0], watermark)
@@ -155,6 +158,8 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     marked, infos = [], []
     for p in (cover, *planes[1:]):
         f = svd(p)
+        if not math.isfinite(float(f.sigma[0]) / alpha):
+            raise InvalidParameter(f"alpha {alpha} is too small to recover a mark from")
         infos.append(_trusted(SideInfo, **vars(f), v_w=v_w, alpha=alpha, rows=p.shape[0],
                               cols=p.shape[1], scheme=scheme, quant=quant))
         marked.append(_mark(f, p, payload, alpha)[0])

@@ -375,7 +375,8 @@ class TestOverflowKeepsOneErrorLine:
         sm.write_float_image(marked, bad_marked)
         proc = self.extract(tmp_path, bad_marked, embedded["key"])
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: InvalidInput: m contains NaN or Inf entries"]
+        assert proc.stderr.splitlines() == [
+            "error: InvalidInput: the watermark recovered at alpha 0.1 contains NaN or Inf entries"]
 
 
 def test_sweep_alpha_with_overflowing_psnr_is_one_error_line(tmp_path):
@@ -421,6 +422,20 @@ def test_metrics_prints_a_tiny_negative_correlation_unsigned(tmp_path, capsys):
                                              sm.read_float_image(b)) < 0
     assert run(["metrics", "--a", a, "--b", b]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "nc=0.000000"
+
+
+@pytest.mark.filterwarnings("error")
+def test_metrics_prints_an_overflowing_psnr_as_minus_inf(tmp_path, capsys):
+    # The squared error of a cover against a copy scaled to ~1e200 overflows.
+    cover = make_cover(16)
+    scaled = cover * np.random.default_rng(5).uniform(0.5, 1.5, cover.shape) * 1e198
+    a, b = str(tmp_path / "a.svdf"), str(tmp_path / "b.svdf")
+    sm.write_float_image(cover, a)
+    sm.write_float_image(scaled, b)
+    assert run(["metrics", "--a", a, "--b", b]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "psnr_db=-inf"
+    assert captured.err == ""
 
 
 # Each subcommand's required flags, and which of --alpha, --strategy and
