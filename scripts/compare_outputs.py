@@ -14,7 +14,8 @@ with the watermark, an unrelated image, a wrong-shape and an overflowing
 reference, every reader on a marked image whose recovery overflows,
 metrics, attacks, sweeps (among them a 10-alpha grid, a constant
 watermark, and an alpha that fails first or last), the three colour
-strategies and keys of the wrong kind.  Its inputs are seeded
+strategies through every reader, keys of the wrong kind for each reader
+and a verify-hash threshold outside (0, 1).  Its inputs are seeded
 images written by this script, so both trees read the same bytes.
 
 For every command the exit code, stdout, stderr and the bytes of every
@@ -204,9 +205,28 @@ def _matrix(quick):
                     "--out", f"o-{n}.svdf")
                 add(f"{base}/{extract}/bundle-as-single", extract, "--marked", cw,
                     "--key", f"k-{n}.svdk", *ident, "--out", f"b-{n}.svdf")
-        single = _name(f"{t}/pgm/embed/a=0.1")
+                if ident:
+                    for who, i in (("right", ID), ("wrong", WRONG_ID)):
+                        add(f"{base}/verify-hash/{who}-id", "verify-hash", *run[:4],
+                            "--id", i, "--claimed", wm)
+                else:
+                    for what, r in (("watermark", wm), ("unrelated", ref)):
+                        add(f"{base}/detect-reference/{what}", "detect-reference", *run,
+                            "--reference", r, "--out", f"p-{what}-{n}.svdf")
+        single, keyed = (_name(f"{t}/pgm/{e}/a=0.1") for e in ("embed", "embed-hash"))
         add(f"{t}/colour/single-as-bundle", "extract", "--marked", f"col{t}.ppm",
             "--key", f"k-{single}.svdk", "--out", f"{_name(t)}-sab.svdf")
+        # The other readers refuse a key of the wrong kind as extract does.
+        blue = {e: _name(f"{t}/colour/blue/{e}") for e in ("embed", "embed-hash")}
+        for command, e, n, extra in (
+                ("verify-hash", "embed-hash", keyed, ["--id", ID, "--claimed", wm]),
+                ("detect-reference", "embed", single, ["--reference", wm])):
+            add(f"{t}/colour/{command}/bundle-as-single", command, "--marked", cw,
+                "--key", f"k-{blue[e]}.svdk", *extra)
+            add(f"{t}/colour/{command}/single-as-bundle", command, "--marked", f"col{t}.ppm",
+                "--key", f"k-{n}.svdk", *extra)
+        add(f"{t}/verify-hash/threshold-1.5", "verify-hash", "--marked", f"m-{keyed}.svdf",
+            "--key", f"k-{keyed}.svdk", "--id", ID, "--claimed", wm, "--threshold", "1.5")
 
         add(f"{t}/embed/out-nodir", "embed", "--cover", cw, "--watermark", wm,
             "--out", "nodir/m.svdf", "--key", f"{_name(t)}-nodir.svdk")

@@ -60,9 +60,16 @@ def normalized_correlation(a, b):
 
 
 def _centred(a):
-    """The flattened, mean-centred matrix and its squared norm."""
+    """The flattened, mean-centred matrix and its squared norm; when the norm
+    leaves 2**-500..2**500, both are of the matrix scaled exactly by a power
+    of two, so a product of two norms neither overflows nor underflows."""
     ac = (a - a.mean()).ravel()
-    return ac, float(ac @ ac)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(ac @ ac)
+        if not 2.0**-500 <= norm <= 2.0**500:
+            ac = np.ldexp(ac, -np.frexp(np.abs(ac).max())[1])
+            norm = float(ac @ ac)
+    return ac, norm
 
 
 def _correlate(a, b, stacklevel):

@@ -72,7 +72,7 @@ def _build_parser():
     p.add_argument("--id", required=True, dest="identity", type=Identity.from_string)
     p.add_argument("--claimed", required=True)
     p.add_argument("--threshold", type=float, default=invisible.DEFAULT_THRESHOLD)
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, strategy=None)
 
     p = sub.add_parser("detect-reference",
                        help="project recovered components onto a reference basis")
@@ -80,7 +80,7 @@ def _build_parser():
     p.add_argument("--key", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(run=_cmd_detect_reference)
+    p.set_defaults(run=_cmd_detect_reference, strategy=None)
 
     p = sub.add_parser("metrics", help="PSNR and correlation")
     p.add_argument("--a", required=True, dest="first")
@@ -196,27 +196,25 @@ def _cmd_embed(args):
     return EXIT_OK
 
 
-def _cmd_extract(args):
+def _recover(args, recover):
+    """``color._recover`` of ``--marked`` and ``--key``, each read once, by kind."""
     colour = _is_color(args.marked, args.strategy)
+    made_with, infos = formats._read_key(args.key, colour)
+    img = (formats.read_ppm if colour else formats.load_matrix)(args.marked)
+    return color._recover(img, infos, made_with, args.strategy or made_with, recover)
+
+
+def _cmd_extract(args):
     write_out = formats._image_writer(args.out)
-    if colour:
-        bundle = formats.load_bundle(args.key)
-        img = formats.read_ppm(args.marked)
-        w_star = color.extract_color(img, bundle, args.strategy or bundle.strategy,
-                                     identity=args.identity)
-    else:
-        info = formats.load_sideinfo(args.key)
-        w_star = invisible._extract_plane(formats.load_matrix(args.marked), info, args.identity)
+    w_star = _recover(args, lambda m, info: invisible._extract_plane(m, info, args.identity))
     write_out(w_star, args.out)
     print(f"extracted={args.out}")
     return EXIT_OK
 
 
 def _cmd_verify(args):
-    info = formats.load_sideinfo(args.key)
-    marked = formats.load_matrix(args.marked)
-    claimed = formats.load_matrix(args.claimed)
-    report = invisible.verify_invisible(marked, info, args.identity, claimed, args.threshold)
+    w_star = _recover(args, lambda m, info: invisible.extract_invisible(m, info, args.identity))
+    report = invisible._judge(w_star, formats.load_matrix(args.claimed), args.threshold)
     print(f"nc={_fixed6(report.nc_score)} threshold={report.threshold:.6f} "
           f"decision={report.decision.value}")
     return EXIT_OK if report.decision is invisible.Verdict.VERIFIED else EXIT_REJECTED
@@ -224,14 +222,11 @@ def _cmd_verify(args):
 
 def _cmd_detect_reference(args):
     write_out = formats._image_writer(args.out) if args.out else None
-    info = formats.load_sideinfo(args.key)
-    marked = formats.load_matrix(args.marked)
     reference = formats.load_matrix(args.reference)
-    p_star = semiblind.detect_reference(marked, info, reference)
+    p_star = _recover(args, lambda m, info: semiblind.detect_reference(m, info, reference))
     if write_out:
         write_out(p_star, args.out)
-    nc = analysis.normalized_correlation(p_star, reference)
-    print(f"nc={_fixed6(nc)}")
+    print(f"nc={_fixed6(analysis.normalized_correlation(p_star, reference))}")
     return EXIT_OK
 
 

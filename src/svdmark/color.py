@@ -121,13 +121,18 @@ def extract_color(img, bundle, strategy, identity=None):
     Per-channel bundles yield the average of the three per-plane
     estimates; single-plane strategies extract from their plane directly.
     """
-    strategy = ChannelStrategy(strategy)
-    if bundle.strategy is not strategy:
-        raise MalformedSideInfo(
-            f"bundle was created with {bundle.strategy.value}, not {strategy.value}"
-        )
-    estimates = [invisible._extract_plane(plane, info, identity)
-                 for plane, info in zip(_planes(img, strategy), bundle.infos)]
+    return _recover(img, bundle.infos, bundle.strategy, strategy,
+                    lambda plane, info: invisible._extract_plane(plane, info, identity))
+
+
+def _recover(img, infos, made_with, strategy, recover):
+    """``recover(plane, info)`` on each plane the key marks, the three of
+    ``perchannel`` averaged; a key made with no strategy marks ``img`` itself."""
+    if made_with is not None and made_with is not ChannelStrategy(strategy):
+        raise MalformedSideInfo(f"bundle was created with {made_with.value}, "
+                                f"not {ChannelStrategy(strategy).value}")
+    planes = (img,) if made_with is None else _planes(img, made_with)
+    estimates = [recover(plane, info) for plane, info in zip(planes, infos)]
     return estimates[0] if len(estimates) == 1 else sum(estimates) / 3.0
 
 

@@ -89,10 +89,14 @@ def extract_invisible(marked, info, identity):
 
 def verify_invisible(marked, info, identity, claimed, threshold=DEFAULT_THRESHOLD):
     """Extract with ``identity`` and compare against a claimed watermark."""
+    return _judge(extract_invisible(marked, info, identity), claimed, threshold)
+
+
+def _judge(w_star, claimed, threshold):
+    """Score ``w_star`` against ``claimed``; it verifies at ``threshold``, in (0, 1)."""
     threshold = float(threshold)
     if not 0.0 < threshold < 1.0:
         raise InvalidParameter(f"threshold must lie in (0, 1), got {threshold}")
-    w_star = extract_invisible(marked, info, identity)
     nc = normalized_correlation(w_star, as_matrix(claimed, "claimed"))
     decision = Verdict.VERIFIED if nc >= threshold else Verdict.REJECTED
     return VerificationReport(nc_score=nc, decision=decision, threshold=threshold)

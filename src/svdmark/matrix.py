@@ -143,16 +143,15 @@ def orthogonality_residual(m):
     return float(np.linalg.norm(gram))
 
 
-_openblas = None if int(np.__version__.split(".")[0]) >= 2 else ()  # then (get, set) or ()
+_openblas = None  # then (get, set) or ()
 
 
 def _openblas_threads():
     """The thread-count getter and setter of the OpenBLAS that numpy 2's
-    wheels bundle, looked up on first use; ``()`` under any other BLAS,
-    and under numpy 1.x, whose ``errstate`` a new thread does not inherit."""
+    wheels bundle, looked up on first use; ``()`` under any other BLAS."""
     global _openblas
     if _openblas is None:
-        from numpy._core import _multiarray_umath  # numpy 2 only
+        from numpy._core import _multiarray_umath
 
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
         get = getattr(lib, "scipy_openblas_get_num_threads64_", None)

@@ -2,6 +2,7 @@ import hashlib
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ class TestNormalizedCorrelation:
         b = seeded_matrix(7, 16, 16)
         base = sm.normalized_correlation(a, b)
         assert abs(sm.normalized_correlation(a, c * b + d) - base) <= 1e-10
+
+    @pytest.mark.parametrize("k", [1.0, 1e100, 1e198, 1e-198, 1e-300])
+    @pytest.mark.parametrize("s", [1.0, 1e100, 1e-150])
+    def test_score_ignores_scale(self, s, k):
+        # Squared norms of these overflow or underflow, or their product does.
+        c = seeded_matrix(9, 16, 16)
+        b = c * np.random.default_rng(10).uniform(0.5, 1.5, (16, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nc = sm.normalized_correlation(c * s, b * k)
+        assert abs(nc - sm.normalized_correlation(c, b)) <= 1e-12
 
     def test_constant_input_warns_and_returns_zero(self):
         a = seeded_matrix(8, 4, 4)

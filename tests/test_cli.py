@@ -125,6 +125,40 @@ class TestHashCommands:
         w_star = sm.read_float_image(p["out"])
         assert sm.normalized_correlation(w_star, sm.read_pgm(p["wm"])) >= th.HASH_NC_MIN
 
+    @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "nan"])
+    def test_threshold_outside_the_open_unit_interval(self, scene, capsys, threshold):
+        _, _, p = scene
+        assert run(["embed-hash", "--cover", p["cover"], "--watermark", p["wm"],
+                    "--id", th.EMBED_ID, "--out", p["marked"], "--key", p["key"]]) == 0
+        capsys.readouterr()
+        assert run(["verify-hash", "--marked", p["marked"], "--key", p["key"],
+                    "--id", th.EMBED_ID, "--claimed", p["wm"], "--threshold", threshold]) == 1
+        assert capsys.readouterr() == ("", "error: InvalidParameter: threshold must lie in "
+                                           f"(0, 1), got {float(threshold)}\n")
+
+
+# Of two faults in one command, the one reported is the first in this order:
+# an output extension, detect-reference's reference, a --strategy on an image
+# that is not .ppm, the key, the marked image, the extraction, and last
+# verify-hash's --claimed and --threshold.
+@pytest.mark.parametrize("argv, line", [
+    (["extract", "--strategy", "blue", "--out", "w.txt"],
+     "error: UnsupportedFormat: cannot write a matrix to .txt files"),
+    (["detect-reference", "--reference", "none.pgm", "--key", "none.svdk"],
+     "error: IOError: [Errno 2] No such file or directory: 'none.pgm'"),
+    (["verify-hash", "--id", "alice|1", "--claimed", "none.pgm", "--threshold", "1.5"],
+     "error: MalformedSideInfo: expected hash-code side info, got semi-blind"),
+])
+def test_reader_reports_its_first_fault(scene, capsys, monkeypatch, argv, line):
+    _, _, p = scene
+    assert run(["embed", "--cover", p["cover"], "--watermark", p["wm"],
+                "--out", p["marked"], "--key", p["key"]]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(os.path.dirname(p["key"]))
+    key = [] if "--key" in argv else ["--key", p["key"]]
+    assert run([*argv, "--marked", p["marked"], *key]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
 
 class TestDetectReference:
     def test_reference_scores_below_true_watermark(self, scene, tmp_path, capsys):
@@ -283,6 +317,58 @@ class TestColorCli:
         assert sm.read_float_image(out).shape == (48, 48)
 
 
+class TestColorReaders:
+    """Every reader takes a colour key through a PPM image, for each strategy."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("colour-readers")
+        paths = {name: str(d / name) for name in ("cover.ppm", "wm.pgm", "ref.pgm", "w.svdf")}
+        sm.write_ppm(sm.synthetic_rgb(128, 128, seed=4004), paths["cover.ppm"])
+        sm.write_pgm(sm.synthetic_image(128, 128, 2002, roughness=1.2, contrast=70.0),
+                     paths["wm.pgm"])
+        sm.write_pgm(make_reference(th.REF_SEEDS[0], 128), paths["ref.pgm"])
+        for strategy in ("luminance", "blue", "perchannel"):
+            for embed, ident in (("embed", []), ("embed-hash", ["--id", th.EMBED_ID])):
+                name = f"{strategy}-{embed}"
+                paths[name] = (str(d / f"{name}.ppm"), str(d / f"{name}.svdk"))
+                assert run([embed, "--cover", paths["cover.ppm"], "--watermark", paths["wm.pgm"],
+                            *ident, "--strategy", strategy, "--alpha", "0.1",
+                            "--out", paths[name][0], "--key", paths[name][1]]) == 0
+        return paths
+
+    @staticmethod
+    def nc(argv, capsys, codes=(0,)):
+        capsys.readouterr()
+        assert run(argv) in codes
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out.split("nc=")[1].split()[0]
+
+    @pytest.mark.parametrize("strategy", ["luminance", "blue", "perchannel"])
+    def test_detect_reference(self, files, capsys, strategy):
+        marked, key = files[f"{strategy}-embed"]
+        detect = ["detect-reference", "--marked", marked, "--key", key, "--reference"]
+        nc_true = float(self.nc([*detect, files["wm.pgm"], "--out", files["w.svdf"]], capsys))
+        nc_ref = float(self.nc([*detect, files["ref.pgm"]], capsys))
+        assert nc_true >= th.COLOR_LUMINANCE_NC_8BIT_MIN
+        assert nc_true - nc_ref >= th.REFERENCE_GAP_MIN
+        assert sm.read_float_image(files["w.svdf"]).shape == (128, 128)
+
+    # A keyed mark does not survive the 8-bit PPM write, so the verdict is
+    # not pinned here; the score must be the one extract-hash gives.
+    @pytest.mark.parametrize("strategy", ["luminance", "blue", "perchannel"])
+    def test_verify_hash_scores_what_extract_hash_gives(self, files, capsys, strategy):
+        marked, key = files[f"{strategy}-embed-hash"]
+        read = ["--marked", marked, "--key", key]
+        assert run(["extract-hash", *read, "--id", th.EMBED_ID, "--out", files["w.svdf"]]) == 0
+        extracted = self.nc(["metrics", "--a", files["w.svdf"], "--b", files["wm.pgm"]], capsys)
+        verify = ["verify-hash", *read, "--claimed", files["wm.pgm"], "--id"]
+        assert self.nc([*verify, th.EMBED_ID], capsys, codes=(0, 2)) == extracted
+        wrong = float(self.nc([*verify, "mallory|999"], capsys, codes=(2,)))
+        assert abs(wrong) <= th.COLOR_WRONG_ID_MAX
+
+
 class TestKeyRouting:
     @pytest.fixture()
     def keys(self, scene, tmp_path):
@@ -306,6 +392,19 @@ class TestKeyRouting:
                     "--out", keys["out"]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedSideInfo") and "Traceback" not in err
+
+    @pytest.mark.parametrize("marked, key, message", [
+        ("pgm", "bundle", "this is a color key bundle; load it as a bundle"),
+        ("marked", "bundle", "this is a color key bundle; load it as a bundle"),
+        ("ppm", "key", "not a color key bundle (no strategy)"),
+    ])
+    @pytest.mark.parametrize("command", ["verify-hash", "detect-reference"])
+    def test_every_reader_refuses_a_kind_mismatch(self, keys, capsys, command, marked, key,
+                                                  message):
+        extra = (["--id", th.EMBED_ID, "--claimed", keys["wm"]] if command == "verify-hash"
+                 else ["--reference", keys["wm"]])
+        assert run([command, "--marked", keys[marked], "--key", keys[key], *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: MalformedSideInfo: {message}\n")
 
     @pytest.mark.parametrize("key", ["pgm", "v1-single", "v1-bundle"])
     @pytest.mark.parametrize("marked", ["marked", "ppm"])
