@@ -90,6 +90,28 @@ def main():
     print(f"OBSERVED quant lo={quant.lo:.4f} hi={quant.hi:.4f} "
           f"half_step={(quant.hi - quant.lo) / 510:.4f}")
 
+    print("# --- keyed float margin against eps*sigma_0*sqrt(max(M, N))/alpha ---")
+    # The keyed embed refuses an alpha at which this predictor exceeds 0.1
+    # (semiblind._embed_planes); the worst ratio below says how much of
+    # the 0.5 rounding budget that leaves.
+    worst, refused, tried = 0.0, 0, 0
+    for rows, cols in ((16, 16), (32, 32), (48, 64), (64, 48), (64, 64), (32, 200),
+                       (256, 256)):
+        c = sm.synthetic_image(rows, cols, COVER_SEED, roughness=2.0, contrast=52.0)
+        w = sm.synthetic_image(rows, cols, WM_SEED, roughness=1.2, contrast=70.0)
+        for alpha in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+            tried += 1
+            try:
+                mh, ih = sm.embed_invisible(c, w, ident, alpha)
+            except sm.InvalidParameter:
+                refused += 1
+                continue
+            r = sm.recover_principal_components(mh, ih)
+            predictor = np.finfo(float).eps * ih.sigma[0] * np.sqrt(max(rows, cols)) / alpha
+            worst = max(worst, float(np.abs(r - np.rint(r)).max()) / predictor)
+    print(f"OBSERVED worst margin/predictor = {worst:.3f} over the embeds made "
+          f"({refused} of {tried} refused); margin at the bound <= {0.1 * worst:.3f} of 0.5")
+
     print("# --- wrong-id band (100 ids) + uniformity ---")
     mh, ih = sm.embed_invisible(cover, wm, ident, 0.05)
     wrong_ncs = []

@@ -8,15 +8,18 @@ matrix of CLI commands in a subprocess of its own, which imports
 ``svdmark`` from ``TREE/src`` and calls ``cli_main`` in-process from a
 fresh work directory.  The matrix covers PGM and SVDF covers of square
 and rectangular shapes, both schemes, good and bad alphas (a subnormal
-one followed through every command that would read its key), extraction to
-every writer, verify-hash with the right and a wrong id, detect-reference
-with the watermark, an unrelated image, a wrong-shape and an overflowing
+one followed through every command that would read its key, and a keyed
+one too small to round its recovery back), extraction to every writer,
+verify-hash with the right and a wrong id, detect-reference with the
+watermark, an unrelated image, a wrong-shape and an overflowing
 reference, every reader on a marked image whose recovery overflows,
-metrics, attacks, sweeps (among them a 10-alpha grid, a constant
-watermark, and an alpha that fails first or last), the three colour
-strategies through every reader, keys of the wrong kind for each reader
-and a verify-hash threshold outside (0, 1).  Its inputs are seeded
-images written by this script, so both trees read the same bytes.
+metrics (among them of an image whose sum overflows), attacks, sweeps
+(among them a 10-alpha grid, a constant watermark, and an alpha that
+fails first or last), the three colour strategies through every reader,
+a colour embed and extract through upper-case extensions, keys of the
+wrong kind for each reader and a verify-hash threshold outside (0, 1).
+Its inputs are seeded images written by this script, so both trees read
+the same bytes.
 
 For every command the exit code, stdout, stderr and the bytes of every
 file it writes or removes are compared; warnings are recorded by their
@@ -72,6 +75,7 @@ def _write_inputs(shapes):
         _write_svdf(f"h{t}.svdf", np.full((rows, cols), 1e308))
         _write_pnm(f"k{t}.pgm", np.full((rows, cols), 128))
         _write_pnm(f"col{t}.ppm", rng.integers(0, 256, (rows, cols, 3)))
+        Path(f"col{t}.PPM").write_bytes(Path(f"col{t}.ppm").read_bytes())
     _write_pnm("wsmall.pgm", rng.integers(0, 256, (8, 8)))
     _write_pnm("q32.pgm", rng.integers(0, 256, (32, 32)))
 
@@ -138,6 +142,14 @@ def _matrix(quick):
                 "--out", f"{_name(pgm_out)}.pgm", "--key", f"{_name(pgm_out)}.svdk")
             add(f"{pgm_out}/extract", "extract", "--marked", f"{_name(pgm_out)}.pgm",
                 "--key", f"{_name(pgm_out)}.svdk", "--out", f"x-{_name(pgm_out)}.svdf")
+        # A keyed embed at an alpha whose float recovery cannot round back.
+        tiny = f"{t}/svdf/embed-hash/a=1e-13"
+        marked, key = (f"{x}-{_name(tiny)}.{e}" for x, e in (("m", "svdf"), ("k", "svdk")))
+        add(f"{tiny}/embed", "embed-hash", "--cover", f"c{t}.svdf", "--watermark", wm,
+            "--id", ID, "--alpha", "1e-13", "--out", marked, "--key", key)
+        add(f"{tiny}/verify-hash", "verify-hash", "--marked", marked, "--key", key,
+            "--id", ID, "--claimed", wm)
+        add(f"{t}/metrics/overflow", "metrics", "--a", f"h{t}.svdf", "--b", cw)
         # Every reader of the all-1e308 image overflows its recovery.
         semi, keyed = (f"k-{_name(f'{t}/pgm/{e}/a=0.1')}.svdk" for e in ("embed", "embed-hash"))
         ovf, n = ["--marked", f"h{t}.svdf"], _name(f"{t}/overflow-marked")
@@ -213,6 +225,11 @@ def _matrix(quick):
                     for what, r in (("watermark", wm), ("unrelated", ref)):
                         add(f"{base}/detect-reference/{what}", "detect-reference", *run,
                             "--reference", r, "--out", f"p-{what}-{n}.svdf")
+        upper = _name(f"{t}/colour/upper-case")
+        add(f"{t}/colour/upper-case/embed", "embed", "--cover", f"col{t}.PPM", "--watermark", wm,
+            "--out", f"m-{upper}.PPM", "--key", f"k-{upper}.svdk")
+        add(f"{t}/colour/upper-case/extract", "extract", "--marked", f"m-{upper}.PPM",
+            "--key", f"k-{upper}.svdk", "--out", f"x-{upper}.SVDF")
         single, keyed = (_name(f"{t}/pgm/{e}/a=0.1") for e in ("embed", "embed-hash"))
         add(f"{t}/colour/single-as-bundle", "extract", "--marked", f"col{t}.ppm",
             "--key", f"k-{single}.svdk", "--out", f"{_name(t)}-sab.svdf")

@@ -61,14 +61,14 @@ def normalized_correlation(a, b):
 
 def _centred(a):
     """The flattened, mean-centred matrix and its squared norm; when the norm
-    leaves 2**-500..2**500, both are of the matrix scaled exactly by a power
-    of two, so a product of two norms neither overflows nor underflows."""
-    ac = (a - a.mean()).ravel()
-    with np.errstate(over="ignore", under="ignore"):
+    leaves 2**-500..2**500, or the mean or the centring overflows, both are
+    of the matrix scaled exactly by a power of two to entries below 1, so a
+    product of two norms neither overflows nor underflows."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        ac = (a - a.mean()).ravel()
         norm = float(ac @ ac)
-        if not 2.0**-500 <= norm <= 2.0**500:
-            ac = np.ldexp(ac, -np.frexp(np.abs(ac).max())[1])
-            norm = float(ac @ ac)
+    if not 2.0**-500 <= norm <= 2.0**500 and ac.any():
+        return _centred(np.ldexp(a, -np.frexp(np.abs(a).max())[1]))
     return ac, norm
 
 

@@ -7,6 +7,7 @@ variable SVDMARK_SEED overrides --seed when set.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -151,44 +152,33 @@ def _parse_attack(text, default_seed):
     return AttackSpec(kind=kind, **fields)
 
 
-def _is_color(path, strategy):
-    """Whether ``path`` names a colour (PPM) image; only those take --strategy."""
-    if os.path.splitext(path)[1].lower() == ".ppm":
-        return True
+def _image(path, strategy, default=None):
+    """Image ``path``'s carrier and reader, by its extension, and its strategy:
+    ``strategy`` or ``default`` on a colour image; any other is a matrix, with none."""
+    _, carrier, read, _ = formats._carrier(path)
+    if carrier == "colour image":
+        strategy = strategy or default
+        return carrier, read, strategy and color.ChannelStrategy(strategy)
     if strategy is not None:
-        raise _UsageError("--strategy applies only to colour (.ppm) images")
-    return False
-
-
-def _load_watermark(path, rows, cols, resize):
-    w = formats.load_matrix(path)
-    if resize and w.shape != (rows, cols):
-        w = analysis.resize_nearest(w, rows, cols)
-    return w
+        ext = "/".join(e for e, (c, *_) in formats._CARRIERS.items() if c == "colour image")
+        raise _UsageError(f"--strategy applies only to colour ({ext}) images")
+    return "matrix", formats.load_matrix, None
 
 
 def _cmd_embed(args):
     if os.path.realpath(args.out) == os.path.realpath(args.key):
         raise _UsageError("--out and --key name the same file")
-    colour = _is_color(args.cover, args.strategy)
-    write_marked = formats._image_writer(args.out, "colour image" if colour else "matrix")
-    if colour:
-        img = formats.read_ppm(args.cover)
-        w = _load_watermark(args.watermark, img.rows, img.cols, args.resize_watermark)
-        marked, key = color.embed_color(
-            img, w, args.strategy or color.ChannelStrategy.BLUE_CHANNEL, args.scheme,
-            alpha=args.alpha, identity=args.identity
-        )
-        write_key = formats.save_bundle
-    else:
-        cover = formats.load_matrix(args.cover)
-        w = _load_watermark(args.watermark, *cover.shape, args.resize_watermark)
-        (marked,), (key,) = semiblind._embed_planes([cover], w, args.scheme, args.alpha,
-                                                    args.identity)
-        write_key = formats.save_sideinfo
-    write_marked(marked, args.out)
+    carrier, read, strategy = _image(args.cover, args.strategy, "blue")
+    write_marked = formats._image_writer(args.out, carrier)
+    img = read(args.cover)
+    planes = color._planes(img, strategy)
+    w = formats.load_matrix(args.watermark)
+    if args.resize_watermark and w.shape != planes[0].shape:
+        w = analysis.resize_nearest(w, *planes[0].shape)
+    marked, infos = semiblind._embed_planes(planes, w, args.scheme, args.alpha, args.identity)
+    write_marked(color._with_planes(img, strategy, marked), args.out)
     try:
-        write_key(key, args.key)
+        formats._write_key(args.key, infos, strategy)
     except BaseException:
         os.unlink(args.out)  # a marked image without its key cannot be read back
         raise
@@ -198,10 +188,9 @@ def _cmd_embed(args):
 
 def _recover(args, recover):
     """``color._recover`` of ``--marked`` and ``--key``, each read once, by kind."""
-    colour = _is_color(args.marked, args.strategy)
-    made_with, infos = formats._read_key(args.key, colour)
-    img = (formats.read_ppm if colour else formats.load_matrix)(args.marked)
-    return color._recover(img, infos, made_with, args.strategy or made_with, recover)
+    carrier, read, strategy = _image(args.marked, args.strategy)
+    made_with, infos = formats._read_key(args.key, carrier == "colour image")
+    return color._recover(read(args.marked), infos, made_with, strategy or made_with, recover)
 
 
 def _cmd_extract(args):
@@ -223,7 +212,8 @@ def _cmd_verify(args):
 def _cmd_detect_reference(args):
     write_out = formats._image_writer(args.out) if args.out else None
     reference = formats.load_matrix(args.reference)
-    p_star = _recover(args, lambda m, info: semiblind.detect_reference(m, info, reference))
+    basis = functools.cache(lambda: matrix.svd(reference).v)  # one SVD for every plane
+    p_star = _recover(args, lambda m, info: semiblind._detect_reference(m, info, reference, basis))
     if write_out:
         write_out(p_star, args.out)
     print(f"nc={_fixed6(analysis.normalized_correlation(p_star, reference))}")

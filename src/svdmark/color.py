@@ -107,12 +107,8 @@ def embed_color(img, w, strategy, scheme, alpha=DEFAULT_ALPHA, identity=None):
     """
     strategy = ChannelStrategy(strategy)
     marked, infos = semiblind._embed_planes(_planes(img, strategy), w, scheme, alpha, identity)
-    bundle = _trusted(SideInfoBundle, strategy=strategy, infos=tuple(infos))
-    if strategy is ChannelStrategy.LUMINANCE:
-        return luminance_merge(img, marked[0]), bundle
-    if strategy is ChannelStrategy.BLUE_CHANNEL:
-        return RgbImage(r=img.r, g=img.g, b=marked[0]), bundle
-    return RgbImage(*marked), bundle
+    return (_with_planes(img, strategy, marked),
+            _trusted(SideInfoBundle, strategy=strategy, infos=tuple(infos)))
 
 
 def extract_color(img, bundle, strategy, identity=None):
@@ -127,19 +123,29 @@ def extract_color(img, bundle, strategy, identity=None):
 
 def _recover(img, infos, made_with, strategy, recover):
     """``recover(plane, info)`` on each plane the key marks, the three of
-    ``perchannel`` averaged; a key made with no strategy marks ``img`` itself."""
+    ``perchannel`` averaged."""
     if made_with is not None and made_with is not ChannelStrategy(strategy):
         raise MalformedSideInfo(f"bundle was created with {made_with.value}, "
                                 f"not {ChannelStrategy(strategy).value}")
-    planes = (img,) if made_with is None else _planes(img, made_with)
-    estimates = [recover(plane, info) for plane, info in zip(planes, infos)]
+    estimates = [recover(plane, info) for plane, info in zip(_planes(img, made_with), infos)]
     return estimates[0] if len(estimates) == 1 else sum(estimates) / 3.0
 
 
 def _planes(img, strategy):
-    """The planes ``strategy`` marks, in bundle order."""
+    """The planes ``strategy`` marks, in key order; a matrix, with none, is its one plane."""
+    if strategy is None:
+        return (img,)
     if strategy is ChannelStrategy.LUMINANCE:
         return (luminance_split(img),)
     if strategy is ChannelStrategy.BLUE_CHANNEL:
         return (img.b,)
     return img.channels()
+
+
+def _with_planes(img, strategy, marked):
+    """``img`` with the planes ``_planes(img, strategy)`` replaced by ``marked``."""
+    if strategy is ChannelStrategy.LUMINANCE:
+        return luminance_merge(img, marked[0])
+    if strategy is ChannelStrategy.BLUE_CHANNEL:
+        return RgbImage(r=img.r, g=img.g, b=marked[0])
+    return marked[0] if strategy is None else RgbImage(*marked)

@@ -271,27 +271,32 @@ def load_bundle(path):
     return _trusted(SideInfoBundle, strategy=strategy, infos=infos)
 
 
+# Each file extension's carrier, with that carrier's reader and writer.
+_CARRIERS = {".pgm": ("matrix", read_pgm, write_pgm),
+             ".svdf": ("matrix", read_float_image, write_float_image),
+             ".ppm": ("colour image", read_ppm, write_ppm)}
+
+
+def _carrier(path):
+    """``path``'s extension ("extensionless" if none) and its ``_CARRIERS`` entry, or ``None``s."""
+    ext = os.path.splitext(path)[1].lower()
+    return (ext or "extensionless", *_CARRIERS.get(ext, (None, None, None)))
+
+
 def load_matrix(path):
     """Dispatch on extension: .pgm or .svdf grayscale carriers."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".pgm":
-        return read_pgm(path)
-    if ext == ".svdf":
-        return read_float_image(path)
-    raise UnsupportedFormat(f"cannot read a matrix from {ext or 'extensionless'} files")
-
-
-# The extensions each carrier, grayscale or colour, is written to.
-_WRITERS = {"matrix": {".pgm": write_pgm, ".svdf": write_float_image},
-            "colour image": {".ppm": write_ppm}}
+    ext, carrier, read, _ = _carrier(path)
+    if carrier != "matrix":
+        raise UnsupportedFormat(f"cannot read a matrix from {ext} files")
+    return read(path)
 
 
 def _image_writer(path, carrier="matrix"):
     """The ``carrier`` writer for ``path``'s extension, or ``UnsupportedFormat``."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext not in _WRITERS[carrier]:
-        raise UnsupportedFormat(f"cannot write a {carrier} to {ext or 'extensionless'} files")
-    return _WRITERS[carrier][ext]
+    ext, kind, _, write = _carrier(path)
+    if kind != carrier:
+        raise UnsupportedFormat(f"cannot write a {carrier} to {ext} files")
+    return write
 
 
 def save_matrix(m, path):

@@ -139,8 +139,8 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     The one place that decides between the schemes: the keyed scheme takes
     an identity and builds its masked payload once for every plane.  All
     arguments are checked before the first SVD, bar an alpha too small for
-    a plane's sigma; side infos are built unchecked from fresh ``svd``
-    factors.  Returns ``(marked_planes, side_infos)``.
+    a plane's sigma (or, keyed, to round back from); side infos are built
+    unchecked from fresh ``svd`` factors.  Returns ``(marked_planes, side_infos)``.
     """
     scheme = SchemeTag(scheme)
     cover, w = _conforming_pair(planes[0], watermark)
@@ -155,10 +155,14 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
     if keyed:
         payload, quant = quantize(payload)
         payload = xor_mask(payload, mask).astype(np.float64)
+    # The keyed scheme rounds its recovery, whose float error reached 1.6x
+    # eps sigma_0 sqrt(max(M, N)) / alpha (scripts/calibrate_thresholds.py):
+    # keeping that below 0.1 leaves the 0.5 rounding budget a wide margin.
+    limit = 0.1 / (np.finfo(float).eps * math.sqrt(max(w.shape))) if keyed else math.inf
     marked, infos = [], []
     for p in (cover, *planes[1:]):
         f = svd(p)
-        if not math.isfinite(float(f.sigma[0]) / alpha):
+        if not float(f.sigma[0]) / alpha < limit:
             raise InvalidParameter(f"alpha {alpha} is too small to recover a mark from")
         infos.append(_trusted(SideInfo, **vars(f), v_w=v_w, alpha=alpha, rows=p.shape[0],
                               cols=p.shape[1], scheme=scheme, quant=quant))
@@ -199,9 +203,14 @@ def detect_reference(marked, info, reference):
     singular vectors of ``reference``, whose shape must be the key's (checked
     before its SVD).  The true watermark reproduces the extraction; an
     unrelated image correlates with the result well below that score."""
+    return _detect_reference(marked, info, reference, lambda: svd(reference).v)
+
+
+def _detect_reference(marked, info, reference, basis):
+    """``detect_reference``, the reference's ``V`` from ``basis()`` once every check passed."""
     _require_scheme(info, SchemeTag.SEMI_BLIND)
     reference = as_matrix(reference, "reference")
     if reference.shape != (info.rows, info.cols):
         raise DimensionError(f"reference {reference.shape} does not match side info "
                              f"{(info.rows, info.cols)}")
-    return recover_principal_components(marked, info) @ svd(reference).v.T
+    return recover_principal_components(marked, info) @ basis().T

@@ -63,10 +63,11 @@ class TestNormalizedCorrelation:
         assert abs(sm.normalized_correlation(a, c * b + d) - base) <= 1e-10
 
     @pytest.mark.parametrize("k", [1.0, 1e100, 1e198, 1e-198, 1e-300])
-    @pytest.mark.parametrize("s", [1.0, 1e100, 1e-150])
+    @pytest.mark.parametrize("s", [1.0, 1e100, 1e-150, 7e305])
     def test_score_ignores_scale(self, s, k):
-        # Squared norms of these overflow or underflow, or their product does.
-        c = seeded_matrix(9, 16, 16)
+        # Squared norms of these overflow or underflow, or their product
+        # does; at 7e305 the entries (up to 1.79e308) overflow their sum.
+        c = seeded_matrix(9, 16, 16, -255.0, 255.0)
         b = c * np.random.default_rng(10).uniform(0.5, 1.5, (16, 16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -75,8 +76,9 @@ class TestNormalizedCorrelation:
 
     def test_constant_input_warns_and_returns_zero(self):
         a = seeded_matrix(8, 4, 4)
-        with pytest.warns(RuntimeWarning):
-            assert sm.normalized_correlation(a, np.full((4, 4), 9.0)) == 0.0
+        for value in (9.0, 1e308):  # the sum of 1e308s overflows
+            with pytest.warns(RuntimeWarning, match="constant matrix"):
+                assert sm.normalized_correlation(a, np.full((4, 4), value)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):

@@ -622,19 +622,28 @@ def test_failed_embed_writes_no_output(scene, tmp_path, capsys, out_ext, failure
     assert {f.name for f in tmp_path.iterdir()} == left
 
 
-@pytest.mark.parametrize("out_ext", ["svdf", "pgm", "txt"])
+@pytest.mark.parametrize("out_ext", ["svdf", "pgm", "txt", "PGM", "SVDF", ""])
 def test_colour_embed_writes_only_ppm(tmp_path, capsys, out_ext):
     # A colour embed makes a PPM image; under another name no reader would
-    # take it back.
-    cover, wm = str(tmp_path / "cover.ppm"), str(tmp_path / "wm.pgm")
-    sm.write_ppm(sm.synthetic_rgb(16, 16, seed=21), cover)
+    # take it back.  Extensions match in either case.
+    line = ("error: UnsupportedFormat: cannot write a colour image to "
+            f"{'.' + out_ext.lower() if out_ext else 'extensionless'} files\n")
+    wm = str(tmp_path / "wm.pgm")
     sm.write_pgm(make_watermark(16), wm)
-    out, key = tmp_path / f"m.{out_ext}", tmp_path / "k.svdk"
-    assert run(["embed", "--cover", cover, "--watermark", wm,
-                "--out", str(out), "--key", str(key)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: UnsupportedFormat:") and err.count("\n") == 1, err
-    assert not out.exists() and not key.exists()
+    for cover_ext in ("ppm", "PPM"):
+        cover = str(tmp_path / f"cover.{cover_ext}")
+        sm.write_ppm(sm.synthetic_rgb(16, 16, seed=21), cover)
+        out = tmp_path / (f"m.{out_ext}" if out_ext else "m")
+        key = tmp_path / f"k-{cover_ext}.svdk"
+        assert run(["embed", "--cover", cover, "--watermark", wm,
+                    "--out", str(out), "--key", str(key)]) == 1
+        assert capsys.readouterr() == ("", line)
+        assert not out.exists() and not key.exists()
+        out = tmp_path / f"m.{cover_ext}"
+        assert run(["embed", "--cover", cover, "--watermark", wm,
+                    "--out", str(out), "--key", str(key)]) == 0
+        assert sm.read_ppm(str(out)).rows == 16 and key.exists()
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["embed", "embed-hash"])

@@ -404,19 +404,28 @@ class TestBundleFile:
 
 class TestDispatchAndAtomicity:
     def test_extension_dispatch(self, tmp_path):
+        # Extensions match in either case.
         m = np.rint(seeded_matrix(6, 4, 4))
-        pgm = tmp_path / "x.pgm"
-        svdf = tmp_path / "x.svdf"
-        sm.save_matrix(m, str(pgm))
-        sm.save_matrix(m, str(svdf))
-        np.testing.assert_array_equal(sm.load_matrix(str(pgm)), m)
-        np.testing.assert_array_equal(sm.load_matrix(str(svdf)), m)
+        for name in ("x.pgm", "x.svdf", "y.PGM", "y.SVDF"):
+            sm.save_matrix(m, str(tmp_path / name))
+            np.testing.assert_array_equal(sm.load_matrix(str(tmp_path / name)), m)
+        assert sm.read_pgm(str(tmp_path / "y.PGM")).shape == (4, 4)
+        assert sm.read_float_image(str(tmp_path / "y.SVDF")).shape == (4, 4)
 
     def test_unknown_extension(self, tmp_path):
-        with pytest.raises(UnsupportedFormat):
-            sm.save_matrix(np.zeros((2, 2)), str(tmp_path / "x.png"))
-        with pytest.raises(UnsupportedFormat):
-            sm.load_matrix(str(tmp_path / "x.png"))
+        # A colour image is no matrix; the message names the extension in
+        # lower case, or says the path has none.
+        for name, ext in (("x.png", ".png"), ("x.ppm", ".ppm"), ("x.PPM", ".ppm"),
+                          ("x.Svdk", ".svdk"), ("x", "extensionless"),
+                          ("d.pgm/x", "extensionless")):
+            path = str(tmp_path / name)
+            with pytest.raises(UnsupportedFormat) as exc:
+                sm.save_matrix(np.zeros((2, 2)), path)
+            assert str(exc.value) == f"cannot write a matrix to {ext} files"
+            with pytest.raises(UnsupportedFormat) as exc:
+                sm.load_matrix(path)
+            assert str(exc.value) == f"cannot read a matrix from {ext} files"
+            assert not os.path.exists(path)
 
     def test_no_partial_file_on_invalid_input(self, tmp_path):
         path = tmp_path / "never.svdf"

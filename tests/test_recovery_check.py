@@ -176,6 +176,40 @@ class TestEmbedRefusesUnrecoverableAlpha:
             with pytest.raises(InvalidParameter, match="too small to recover a mark from"):
                 call()
 
+    @pytest.mark.parametrize("shape", [(32, 32), (48, 64), (64, 48), (32, 200)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_keyed_embed_that_exits_0_verifies(self, tmp_path, capsys, shape):
+        # Down an alpha grid, keyed embeds to the lossless SVDF carrier each
+        # recover their committed bytes exactly and verify, until the float
+        # error could pass the rounding budget; from there on each is refused
+        # and writes nothing.
+        rows, cols = shape
+        cover, wm = str(tmp_path / "cover.svdf"), str(tmp_path / "wm.pgm")
+        sm.write_float_image(sm.synthetic_image(rows, cols, 1001, contrast=52.0), cover)
+        sm.write_pgm(sm.synthetic_image(rows, cols, 2002, roughness=1.2, contrast=70.0), wm)
+        identity = sm.Identity.from_string(ID)
+        payload, _ = sm.quantize(sm.split_watermark(sm.read_pgm(wm))[0])
+        committed = sm.xor_mask(payload, sm.derive_mask(identity, rows, cols))
+        codes = []
+        for alpha in (10.0 ** (-k / 4) for k in range(24, 60)):
+            marked, key = tmp_path / f"m{alpha}.svdf", tmp_path / f"k{alpha}.svdk"
+            codes.append(cli_main(["embed-hash", "--cover", cover, "--watermark", wm,
+                                   "--id", ID, "--alpha", str(alpha),
+                                   "--out", str(marked), "--key", str(key)]))
+            err = capsys.readouterr().err
+            if codes[-1]:
+                assert err.splitlines() == [f"error: InvalidParameter: alpha {alpha} "
+                                            "is too small to recover a mark from"]
+                assert not marked.exists() and not key.exists()
+                continue
+            recovered = sm.recover_masked_bytes(sm.read_float_image(str(marked)),
+                                                sm.load_sideinfo(str(key)))
+            np.testing.assert_array_equal(recovered, committed)
+            assert cli_main(["verify-hash", "--marked", str(marked), "--key", str(key),
+                             "--id", ID, "--claimed", wm]) == 0
+            assert "decision=verified" in capsys.readouterr().out
+        assert codes == sorted(codes) and codes[0] == 0 and codes[-1] == 1, codes
+
     def test_tiny_alpha_that_divides_sigma_finitely_embeds(self):
         # The bound is the recovery's, not a fixed floor: an alpha that
         # divides the cover's largest singular value finitely embeds.

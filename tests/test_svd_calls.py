@@ -9,7 +9,8 @@ checks none either.  Factors from outside are checked once, where they
 enter: a key file's when it is loaded, and caller data when it is
 wrapped.  A key checks what its records share once, so a bundle load
 checks ``2 * records + 1`` matrices.  ``detect_reference`` takes a
-reference image and trusts its fresh SVD, so it checks none.
+reference image and trusts its fresh SVD, so it checks none; the CLI
+takes that SVD once for every plane a colour key marks.
 Every embed, from the library or the CLI, checks its arguments (and the
 CLI its ``--out`` name) before the first SVD, so a refused embed runs
 none.  Every other command that writes an image checks that path before
@@ -280,6 +281,22 @@ def test_detect_reference_checks_the_key_once(svd_calls, orthogonality_checks, t
     assert cli_main(argv) == 0
     assert capsys.readouterr().out.startswith("nc=")
     assert (len(orthogonality_checks), len(svd_calls)) == (3, 1)
+
+
+@pytest.mark.parametrize("strategy", list(sm.ChannelStrategy))
+def test_detect_reference_takes_one_reference_svd(svd_calls, tmp_path, capsys, strategy):
+    # A perchannel key projects three planes, all onto the one SVD.
+    marked, key, ref = (str(tmp_path / n) for n in ("m.ppm", "k.svdk", "r.pgm"))
+    m, bundle = sm.embed_color(sm.synthetic_rgb(16, 16, seed=5), seeded_matrix(2, 16, 16),
+                               strategy, sm.SchemeTag.SEMI_BLIND)
+    sm.write_ppm(m, marked)
+    sm.save_bundle(bundle, key)
+    sm.write_pgm(seeded_matrix(3, 16, 16), ref)
+    del svd_calls[:]
+    assert cli_main(["detect-reference", "--marked", marked, "--key", key,
+                     "--reference", ref]) == 0
+    assert capsys.readouterr().out.startswith("nc=")
+    assert len(svd_calls) == 1
 
 
 @pytest.mark.parametrize("out", ["m.txt", "m.ppm", "m"])
