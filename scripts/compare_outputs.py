@@ -13,11 +13,13 @@ one too small to round its recovery back), extraction to every writer,
 verify-hash with the right and a wrong id, detect-reference with the
 watermark, an unrelated image, a wrong-shape and an overflowing
 reference, every reader on a marked image whose recovery overflows,
-metrics (among them of an image whose sum overflows), attacks, sweeps
-(among them a 10-alpha grid, a constant watermark, and an alpha that
-fails first or last), the three colour strategies through every reader,
-a colour embed and extract through upper-case extensions, keys of the
-wrong kind for each reader and a verify-hash threshold outside (0, 1).
+metrics (among them of an image whose sum overflows and of a constant
+one whose mean is off by an ulp), attacks (among them a quantize of
+entries that round to zero from below), sweeps (among them a 10-alpha
+grid, a constant watermark, and an alpha that fails first or last), the
+three colour strategies through every reader, a colour embed and extract
+through upper-case extensions, keys of the wrong kind for each reader
+and a verify-hash threshold outside (0, 1).
 Its inputs are seeded images written by this script, so both trees read
 the same bytes.
 
@@ -74,6 +76,11 @@ def _write_inputs(shapes):
         _write_pnm(f"r{t}.pgm", rng.integers(0, 256, (rows, cols)))
         _write_svdf(f"h{t}.svdf", np.full((rows, cols), 1e308))
         _write_pnm(f"k{t}.pgm", np.full((rows, cols), 128))
+        _write_svdf(f"z{t}.svdf", np.full((rows, cols), 0.1))
+        # Entries below 0 (a row of them round to zero from below) and above 255.
+        q = np.linspace(-1.0, 256.0, rows * cols).reshape(rows, cols)
+        q[0] = np.linspace(-0.5, 0.0, cols, endpoint=False)
+        _write_svdf(f"q{t}.svdf", q)
         _write_pnm(f"col{t}.ppm", rng.integers(0, 256, (rows, cols, 3)))
         Path(f"col{t}.PPM").write_bytes(Path(f"col{t}.ppm").read_bytes())
     _write_pnm("wsmall.pgm", rng.integers(0, 256, (8, 8)))
@@ -150,6 +157,7 @@ def _matrix(quick):
         add(f"{tiny}/verify-hash", "verify-hash", "--marked", marked, "--key", key,
             "--id", ID, "--claimed", wm)
         add(f"{t}/metrics/overflow", "metrics", "--a", f"h{t}.svdf", "--b", cw)
+        add(f"{t}/metrics/constant-0.1", "metrics", "--a", f"z{t}.svdf", "--b", cw)
         # Every reader of the all-1e308 image overflows its recovery.
         semi, keyed = (f"k-{_name(f'{t}/pgm/{e}/a=0.1')}.svdk" for e in ("embed", "embed-hash"))
         ovf, n = ["--marked", f"h{t}.svdf"], _name(f"{t}/overflow-marked")
@@ -198,6 +206,9 @@ def _matrix(quick):
                 ("negative-seed-env", ["--kind", "gaussian-noise", "--sigma", "1"], "-1")):
             label = f"{t}/attack/{what}"
             add(label, *attack, "--output", f"{_name(label)}.svdf", *args, env=env)
+        label = f"{t}/attack/quantize-below-zero"
+        add(label, "attack", "--input", f"q{t}.svdf", "--output", f"{_name(label)}.svdf",
+            "--kind", "quantize-8bit")
 
         for strategy in STRATEGIES:
             for embed in ("embed", "embed-hash"):

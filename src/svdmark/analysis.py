@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter
-from .matrix import as_matrix, svd
+from .matrix import _to_bytes_255, as_matrix, svd
 from .semiblind import _check_alpha, _conforming_pair, _mark, _unmark, split_watermark
 
 PEAK = 255.0
@@ -60,25 +60,28 @@ def normalized_correlation(a, b):
 
 
 def _centred(a):
-    """The flattened, mean-centred matrix and its squared norm; when the norm
-    leaves 2**-500..2**500, or the mean or the centring overflows, both are
-    of the matrix scaled exactly by a power of two to entries below 1, so a
-    product of two norms neither overflows nor underflows."""
+    """The flattened, mean-centred matrix and its squared norm, or ``None``
+    for a constant matrix; when the norm leaves 2**-500..2**500, or the mean
+    or the centring overflows, both are of the matrix scaled exactly by a
+    power of two to entries below 1, so a product of two norms neither
+    overflows nor underflows."""
+    if a.min() == a.max():  # exact, where a centred mean can be off by an ulp
+        return None
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         ac = (a - a.mean()).ravel()
         norm = float(ac @ ac)
-    if not 2.0**-500 <= norm <= 2.0**500 and ac.any():
+    if not 2.0**-500 <= norm <= 2.0**500:
         return _centred(np.ldexp(a, -np.frexp(np.abs(a).max())[1]))
     return ac, norm
 
 
 def _correlate(a, b, stacklevel):
     """``normalized_correlation`` of two ``_centred`` matrices."""
-    (ac, da), (bc, db) = a, b
-    if da == 0.0 or db == 0.0:
+    if a is None or b is None:
         warnings.warn("normalized_correlation of a constant matrix is defined as 0",
                       RuntimeWarning, stacklevel=stacklevel)
         return 0.0
+    (ac, da), (bc, db) = a, b
     # Exact fixed points; the general formula can miss them by one ulp.
     # The first entries rule most pairs out before a full scan.
     if ac[0] == bc[0] and np.array_equal(ac, bc):
@@ -169,13 +172,8 @@ def _attack(spec, shape):
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         noise = rng.normal(0.0, spec.sigma, shape)
         return lambda a: a + noise
-    if spec.kind is AttackKind.QUANTIZE_8BIT:
-
-        def quantize(a):
-            r = np.rint(a)
-            return np.clip(r, 0.0, 255.0, out=r)
-
-        return quantize
+    if spec.kind is AttackKind.QUANTIZE_8BIT:  # what an 8-bit write keeps
+        return lambda a: _to_bytes_255(a).astype(np.float64)
     if spec.kind is AttackKind.CROP:
         r0, c0, h, w = spec.rect
         if r0 + h > shape[0] or c0 + w > shape[1]:

@@ -147,6 +147,11 @@ def _parse_attack(text, default_seed):
                 fields[name] = parse(fields[name])
     except ValueError as exc:
         raise _UsageError(f"malformed attack spec {text!r}: {exc}")
+    return _attack_spec(kind, fields, default_seed)
+
+
+def _attack_spec(kind, fields, default_seed):
+    """``AttackSpec(kind, **fields)``; a stochastic kind given no seed takes ``default_seed``."""
     if "seed" in _ATTACK_PARAMS[kind]:
         fields.setdefault("seed", default_seed)
     return AttackSpec(kind=kind, **fields)
@@ -229,15 +234,8 @@ def _cmd_metrics(args):
 
 
 def _cmd_attack(args):
-    kind = AttackKind(args.kind)
-    seed = _resolve_seed(args.seed)
-    spec = AttackSpec(
-        kind=kind,
-        sigma=args.sigma,
-        rect=tuple(args.rect) if args.rect else None,
-        scale=args.scale,
-        seed=seed if "seed" in _ATTACK_PARAMS[kind] else None,
-    )
+    fields = {"sigma": args.sigma, "rect": args.rect, "scale": args.scale}
+    spec = _attack_spec(AttackKind(args.kind), fields, _resolve_seed(args.seed))
     write_out = formats._image_writer(args.output)
     write_out(analysis.apply_attack(formats.load_matrix(args.input), spec), args.output)
     print(f"attacked={args.output}")

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .hashstream import QuantParams
-from .matrix import SvdFactors, _trusted, as_matrix
+from .matrix import SvdFactors, _to_bytes_255, _trusted, as_matrix
 from .semiblind import SchemeTag, SideInfo
 
 SVDF_MAGIC = b"SVDF"
@@ -59,11 +59,6 @@ def _atomic_write(path, *chunks):
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _to_bytes_255(m):
-    # In row order whatever ``m``'s layout, since writers stream the array.
-    return np.clip(np.rint(m), 0.0, 255.0).astype(np.uint8, order="C")
 
 
 # Magic, then width, height and maxval after whitespace and '#' comments.

@@ -13,13 +13,11 @@ and verification.
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import semiblind
 from .analysis import normalized_correlation
 from .errors import InvalidKey, InvalidParameter
 from .hashstream import dequantize, derive_mask, xor_mask
-from .matrix import as_matrix
+from .matrix import _to_bytes_255, as_matrix
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
@@ -66,13 +64,13 @@ def _extract_plane(marked, info, identity):
 def recover_masked_bytes(marked, info):
     """Recover the committed byte matrix from a marked image.
 
-    Rounds the real-valued recovery to the nearest integer and clamps to
-    0..255 so that small float residue cannot corrupt the XOR layer.  In
-    the float pipeline the result equals the embedded bytes exactly.
+    Keeps what an 8-bit write keeps of the real-valued recovery, rounding
+    and clipping to 0..255, so that small float residue cannot corrupt the
+    XOR layer.  In the float pipeline the result equals the embedded bytes
+    exactly.
     """
     _require_scheme(info, SchemeTag.HASH_CODE)
-    masked_real = recover_principal_components(marked, info)
-    return np.clip(np.rint(masked_real), 0, 255).astype(np.uint8)
+    return _to_bytes_255(recover_principal_components(marked, info))
 
 
 def extract_invisible(marked, info, identity):

@@ -41,6 +41,14 @@ def as_matrix(a, name="matrix"):
     return m
 
 
+def _to_bytes_255(m):
+    """What an 8-bit write keeps of ``m``: each entry rounded to the nearest
+    integer and clipped to 0..255, as ``uint8`` in row order whatever
+    ``m``'s layout, since writers stream the array."""
+    r = np.rint(m)
+    return np.clip(r, 0.0, 255.0, out=r).astype(np.uint8, order="C")
+
+
 class SvdFactors:
     """Full SVD triple: ``u`` (M x M), ``sigma`` (the min(M, N) singular
     values) and ``v`` (N x N).
@@ -118,19 +126,19 @@ def svd(a):
 
 
 def _canonical_signs(u, v):
-    # In-place sign fix; flips paired columns together so u @ s @ v.T
-    # is unchanged.  np.argmax returns the first occurrence of the max,
-    # which settles ties at the lowest row index.
+    # In-place sign fix: the largest-magnitude entry of every U column, and
+    # of every V column beyond the paired range (those multiply zero
+    # singular values), ends non-negative, so the whole triple is unique.
+    # Paired V columns flip with their U column, so u @ s @ v.T is
+    # unchanged.  np.argmax returns the first occurrence of the max, which
+    # settles ties at the lowest row index.
+    def signs(m):
+        return np.where(m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])] < 0, -1.0, 1.0)
+
     paired = min(u.shape[1], v.shape[1])
-    idx = np.argmax(np.abs(u), axis=0)
-    sign = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    u *= sign
-    v[:, :paired] *= sign[:paired]
-    # Columns of v beyond the paired range multiply zero singular values;
-    # canonicalize them with the same rule so the whole triple is unique.
-    for j in range(paired, v.shape[1]):
-        if v[np.argmax(np.abs(v[:, j])), j] < 0:
-            v[:, j] *= -1.0
+    su = signs(u)
+    u *= su
+    v *= np.concatenate((su[:paired], signs(v[:, paired:])))
 
 
 def orthogonality_residual(m):

@@ -75,10 +75,14 @@ class TestNormalizedCorrelation:
         assert abs(nc - sm.normalized_correlation(c, b)) <= 1e-12
 
     def test_constant_input_warns_and_returns_zero(self):
-        a = seeded_matrix(8, 4, 4)
-        for value in (9.0, 1e308):  # the sum of 1e308s overflows
-            with pytest.warns(RuntimeWarning, match="constant matrix"):
-                assert sm.normalized_correlation(a, np.full((4, 4), value)) == 0.0
+        # The sum of 1e308s overflows; the mean of 64x64 0.1s or 1.7e308s
+        # is off by an ulp, so centring leaves a tiny non-zero residue.
+        for shape, value in (((4, 4), 9.0), ((4, 4), 1e308),
+                             ((64, 64), 0.1), ((64, 64), 1.7e308)):
+            a, c = seeded_matrix(8, *shape), np.full(shape, value)
+            for x, y in ((a, c), (c, a)):
+                with pytest.warns(RuntimeWarning, match="constant matrix"):
+                    assert sm.normalized_correlation(x, y) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
@@ -135,10 +139,14 @@ class TestAttacks:
             sm.apply_attack(a, sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)), a
         )
 
-    def test_quantize_rounds_and_clips(self):
-        a = np.array([[-3.2, 128.6], [300.0, 1.4]])
+    def test_quantize_rounds_and_clips(self, tmp_path):
+        a = np.array([[-3.2, 128.6, -0.5, -1e-9], [300.0, 1.4, 255.6, 1e6]])
         out = sm.apply_attack(a, sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT))
-        np.testing.assert_array_equal(out, [[0.0, 129.0], [255.0, 1.0]])
+        np.testing.assert_array_equal(out, [[0.0, 129.0, 0.0, 0.0], [255.0, 1.0, 255.0, 255.0]])
+        # It keeps what an 8-bit write keeps, to the bit: +0.0 where an
+        # entry rounds to zero from below.
+        sm.write_pgm(a, tmp_path / "a.pgm")
+        assert out.tobytes() == sm.read_pgm(tmp_path / "a.pgm").tobytes()
 
     def test_crop_replaces_rect_with_mean(self):
         a = seeded_matrix(11, 8, 8)

@@ -59,10 +59,15 @@ class TestSvd:
         assert f1.v.tobytes() == f2.v.tobytes()
 
     def test_sign_convention(self):
-        for seed in range(5):
-            f = sm.svd(seeded_matrix(seed, 6, 6))
-            idx = np.argmax(np.abs(f.u), axis=0)
-            assert np.all(f.u[idx, np.arange(6)] >= 0)
+        # The largest-magnitude entry, the first one on ties, is non-negative
+        # in every U column and in every V column beyond min(M, N), which
+        # no U column pairs with.
+        for shape in [(6, 6), (2, 7), (7, 2), (1, 5), (5, 1), (32, 200)]:
+            for seed in range(5):
+                f = sm.svd(seeded_matrix(seed, *shape))
+                for m in (f.u, f.v[:, min(shape):]):
+                    idx = np.argmax(np.abs(m), axis=0)
+                    assert np.all(m[idx, np.arange(m.shape[1])] >= 0), (shape, seed)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_singular_values_match_oracle(self, seed):
