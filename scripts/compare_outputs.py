@@ -16,9 +16,10 @@ reference, every reader on a marked image whose recovery overflows,
 metrics (among them of an image whose sum overflows and of a constant
 one whose mean is off by an ulp), attacks (among them a quantize of
 entries that round to zero from below), sweeps (among them a 10-alpha
-grid, a constant watermark, and an alpha that fails first or last), the
-three colour strategies through every reader, a colour embed and extract
-through upper-case extensions, keys of the wrong kind for each reader
+grid, a constant watermark, an alpha that fails first or last, and an
+overflowing cover or watermark over several alphas), the three colour
+strategies through every reader, a colour embed and extract through
+upper-case extensions, keys of the wrong kind for each reader
 and a verify-hash threshold outside (0, 1).
 Its inputs are seeded images written by this script, so both trees read
 the same bytes.
@@ -192,6 +193,11 @@ def _matrix(quick):
                 "--out", f"{_name(label)}.csv", env=env)
         add(f"{t}/sweep/overflow-cover", "sweep", "--cover", f"h{t}.svdf", "--watermark", wm,
             "--alphas", "0.1", "--attacks", "quantize-8bit", "--out", f"{_name(t)}-ovf.csv")
+        # Over several alphas the two SVDs may run on two threads.
+        for what, pair in (("cover", [f"h{t}.svdf", wm]), ("watermark", [cw, f"h{t}.svdf"])):
+            label = f"{t}/sweep/overflow-{what}-grid"
+            add(label, "sweep", "--cover", pair[0], "--watermark", pair[1], "--alphas",
+                "0.1,0.2,0.3", "--attacks", "quantize-8bit", "--out", f"{_name(label)}.csv")
         add(f"{t}/sweep/constant-watermark", "sweep", "--cover", cw, "--watermark", f"k{t}.pgm",
             "--alphas", "0.1,0.2,0.3", "--attacks", four, "--out", f"{_name(t)}-const.csv")
 

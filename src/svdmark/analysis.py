@@ -273,17 +273,19 @@ def robustness_sweep(cover, watermark, alphas, attacks):
 
 
 def _sweep(cover, watermark, alphas, attacks, workers):
-    """``robustness_sweep`` with its alphas spread over up to ``workers``
-    threads.  Its rows equal the sequential sweep's only when BLAS runs
-    on one thread, so the caller pins it for the whole sweep."""
+    """``robustness_sweep`` with its cover and watermark SVDs side by side,
+    then its alphas, on up to ``workers`` threads.  Its rows equal the
+    sequential sweep's only when BLAS runs on one thread, so the caller
+    pins it for the whole sweep."""
     cover, watermark = _conforming_pair(cover, watermark)
     alphas = [_check_alpha(x) for x in alphas]
     attacks = list(attacks)
     if not alphas or not attacks:
         raise InvalidParameter("alphas and attacks must be non-empty")
     attack_fns = [_attack(spec, cover.shape) for spec in attacks]
-    f = svd(cover)
-    a_wa, v_w = split_watermark(watermark)
+    # The two SVDs share the threads too; the cover's error comes first.
+    f, (a_wa, v_w) = _map(lambda job: job(), [lambda: svd(cover),
+                                              lambda: split_watermark(watermark)], workers)
     centred_wm = _centred(watermark)
 
     def alpha_row(alpha):

@@ -253,7 +253,7 @@ def _cmd_sweep(args):
     watermark = formats.load_matrix(args.watermark)
     # Threads beat BLAS's own only while its pool sleeps, so when two or
     # more alphas can share BLAS's cores, BLAS stays on one thread for the
-    # whole sweep and the alphas get its cores instead.
+    # whole sweep and the two SVDs, then the alphas, get its cores instead.
     with matrix._single_threaded_blas(len(alphas)) as threads:
         report = analysis._sweep(cover, watermark, alphas, attacks, workers=threads)
     formats._atomic_write(args.out, report.to_csv().encode("ascii"))

@@ -172,6 +172,21 @@ def _write_key(path, infos, strategy=None):
                   *(np.ascontiguousarray(a, dtype="<f8") for a in arrays))
 
 
+# Each metadata field's JSON type, as the exact Python types ``json``
+# gives it, so that a bool is no number and a float no integer.
+_FIELD_TYPES = {"alpha": (int, float), "lo": (int, float), "hi": (int, float),
+                "rows": (int,), "cols": (int,), "degenerate": (bool,)}
+
+
+def _field(doc, name):
+    """``doc[name]`` if its type is the field's, else ``MalformedSideInfo``."""
+    value, types = doc[name], _FIELD_TYPES[name]
+    if type(value) not in types:
+        raise MalformedSideInfo(f"key field {name!r} must be "
+                                f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def _read_key(path, bundle):
     """Read and check a key file once: a bundle's strategy (``None`` for a
     single key) and the ``SideInfo`` records it holds."""
@@ -207,8 +222,9 @@ def _read_key(path, bundle):
     except (KeyError, ValueError) as exc:
         raise MalformedSideInfo(f"unknown scheme_tag {meta.get('scheme_tag')!r}") from exc
     try:
-        alpha, rows, cols = float(meta["alpha"]), int(meta["rows"]), int(meta["cols"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        alpha = float(_field(meta, "alpha"))
+        rows, cols = _field(meta, "rows"), _field(meta, "cols")
+    except (KeyError, OverflowError) as exc:
         raise MalformedSideInfo(f"missing or malformed field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise MalformedSideInfo(f"bad dimensions {rows}x{cols}")
@@ -220,8 +236,9 @@ def _read_key(path, bundle):
             raise MalformedSideInfo("semi-blind side info must not carry a quant block")
         try:
             q = meta["quant"]
-            quant = QuantParams(float(q["lo"]), float(q["hi"]), bool(q["degenerate"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            quant = QuantParams(float(_field(q, "lo")), float(_field(q, "hi")),
+                                _field(q, "degenerate"))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedSideInfo(f"missing or malformed quant block: {exc}") from exc
     records = 3 if strategy is ChannelStrategy.PER_CHANNEL else 1
     sizes = [("u", rows * rows), ("sigma", min(rows, cols)), ("v", cols * cols)] * records

@@ -2,10 +2,10 @@
 
 A key, single or colour bundle, holds one flat metadata object, so every
 defect below sits in the same place in both kinds of key.  The key
-reader checks what only the file can tell (the dimensions, a quant block
-on a semi-blind key, ``"quant": null`` included) and leaves every other
-invariant, the alpha rule among them, to ``SideInfo`` and
-``QuantParams``.  Each defect must raise the same class through
+reader checks what only the file can tell (each field's JSON type, the
+dimensions, a quant block on a semi-blind key, ``"quant": null``
+included) and leaves every other invariant, the alpha rule among them,
+to ``SideInfo`` and ``QuantParams``.  Each defect must raise the same class through
 ``load_sideinfo``, and through ``load_bundle`` when it sits in a
 bundle's metadata.
 An embed refuses an alpha of 0 with the loaders' error, so no key is
@@ -50,6 +50,7 @@ HASH_QUANT_DEFECTS = {
     "quant-list": _set("quant", [-1.0, 2.0, False]),
     "quant-string": _set("quant", "lo=-1,hi=2"),
     "quant-no-hi": lambda meta: meta["quant"].pop("hi"),
+    "quant-lo-past-float": lambda meta: meta["quant"].__setitem__("lo", -10**400),
 }
 SEMIBLIND_QUANT_DEFECTS = {
     "quant-null": _set("quant", None),
@@ -57,6 +58,31 @@ SEMIBLIND_QUANT_DEFECTS = {
     "quant-valid": _set("quant", QUANT),
     "quant-inverted": _set("quant", {"lo": 2.0, "hi": -1.0, "degenerate": False}),
     "quant-list": _set("quant", [-1.0, 2.0, False]),
+}
+
+
+# Fields of the wrong JSON type: a bool is no number, a float or a string
+# no integer, and only a bool is a bool.
+TYPE_DEFECTS = {
+    "alpha-true": _set("alpha", True),
+    "alpha-false": _set("alpha", False),
+    "alpha-string": _set("alpha", "0.1"),
+    "rows-fraction": _set("rows", ROWS + 0.7),
+    "rows-integral-float": _set("rows", float(ROWS)),
+    "rows-string": _set("rows", str(ROWS)),
+    "rows-true": _set("rows", True),
+    "cols-fraction": _set("cols", COLS + 0.7),
+    "cols-string": _set("cols", str(COLS)),
+    "cols-null": _set("cols", None),
+}
+QUANT_TYPE_DEFECTS = {
+    "lo-true": lambda meta: meta["quant"].__setitem__("lo", True),
+    "lo-string": lambda meta: meta["quant"].__setitem__("lo", "-1.0"),
+    "hi-string": lambda meta: meta["quant"].__setitem__("hi", "2.0"),
+    "hi-list": lambda meta: meta["quant"].__setitem__("hi", [2.0]),
+    "degenerate-string": lambda meta: meta["quant"].__setitem__("degenerate", "false"),
+    "degenerate-zero": lambda meta: meta["quant"].__setitem__("degenerate", 0),
+    "degenerate-null": lambda meta: meta["quant"].__setitem__("degenerate", None),
 }
 
 
@@ -103,6 +129,32 @@ def test_bad_stored_alpha(tmp_path, infos, scheme, defect):
 def test_hash_key_without_a_usable_quant_block(tmp_path, infos, defect):
     _check(tmp_path, infos[sm.SchemeTag.HASH_CODE], HASH_QUANT_DEFECTS[defect],
            MalformedSideInfo)
+
+
+@pytest.mark.parametrize("scheme", list(sm.SchemeTag))
+@pytest.mark.parametrize("defect", list(TYPE_DEFECTS))
+def test_field_of_the_wrong_type(tmp_path, infos, scheme, defect):
+    _check(tmp_path, infos[scheme], TYPE_DEFECTS[defect], MalformedSideInfo)
+
+
+@pytest.mark.parametrize("defect", list(QUANT_TYPE_DEFECTS))
+def test_quant_field_of_the_wrong_type(tmp_path, infos, defect):
+    _check(tmp_path, infos[sm.SchemeTag.HASH_CODE], QUANT_TYPE_DEFECTS[defect],
+           MalformedSideInfo)
+
+
+def test_integral_numbers_load(tmp_path, infos):
+    # A JSON integer is a number: an alpha and a quant range written
+    # without a fraction load as floats.
+    def integral(meta):
+        meta["alpha"] = 1
+        meta["quant"] = {"lo": -1, "hi": 2, "degenerate": False}
+
+    path = tmp_path / "single.svdk"
+    _write_single(path, infos[sm.SchemeTag.HASH_CODE], integral)
+    info = sm.load_sideinfo(str(path))
+    assert (info.alpha, info.quant) == (1.0, sm.QuantParams(-1.0, 2.0, False))
+    assert type(info.alpha) is float and type(info.quant.lo) is float
 
 
 def test_hash_key_with_inverted_quant_range(tmp_path, infos):

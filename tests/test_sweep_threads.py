@@ -1,16 +1,18 @@
 """The CLI sweep's threads, checked in subprocesses because the BLAS thread
 count is fixed when numpy loads.
 
-``sweep`` pins numpy's OpenBLAS to one thread for the whole command and
-spreads its alphas over as many threads as BLAS had, the calling thread
-one of them.  Its CSV must not change: under 1 and under 2 BLAS threads,
-and at BLAS's own default count, the canonical scene's CSV hashes to
-``SWEEP_256_CSV_SHA256``.  Afterwards BLAS has its thread count back,
-also after a failing sweep.  A sweep of one alpha, and a sweep where the
-OpenBLAS functions cannot be found, starts no thread and leaves BLAS
-alone.  A failing alpha is named in the one error line, whichever thread
-meets it.  The library's ``robustness_sweep`` stays sequential and never
-touches BLAS.
+``sweep`` pins numpy's OpenBLAS to one thread for the whole command,
+takes the cover's and the watermark's SVDs side by side on two threads,
+then spreads its alphas over as many threads as BLAS had, the calling
+thread one of them each time.  Its CSV must not change: under 1 and
+under 2 BLAS threads, and at BLAS's own default count, the canonical
+scene's CSV hashes to ``SWEEP_256_CSV_SHA256``.  Afterwards BLAS has its
+thread count back, also after a failing sweep.  A sweep of one alpha,
+and a sweep where the OpenBLAS functions cannot be found, starts no
+thread and leaves BLAS alone.  A failing alpha is named in the one error
+line, whichever thread meets it, and so is a failing SVD, whichever of
+the two fails.  The library's ``robustness_sweep`` stays sequential and
+never touches BLAS.
 """
 
 import pytest
@@ -40,6 +42,16 @@ def counted_sweep(*args, **kwargs):
     return sweep_body(*args, **kwargs)
 analysis._sweep = counted_sweep
 
+svds = []  # [input, on the calling thread, BLAS threads] of each sweep SVD
+def traced(name, decompose):
+    def call(m):
+        svds.append([name, threading.current_thread() is threading.main_thread(),
+                     blas_threads()])
+        return decompose(m)
+    return call
+analysis.svd = traced("cover", analysis.svd)
+analysis.split_watermark = traced("watermark", analysis.split_watermark)
+
 os.chdir(sys.argv[1])
 cover = sm.synthetic_image(256, 256, th.COVER_SEED, roughness=2.0, contrast=52.0)
 wm = sm.synthetic_image(256, 256, th.WM_SEED, roughness=1.2, contrast=70.0)
@@ -54,10 +66,11 @@ alphas = [round(0.05 * k, 2) for k in range(1, 11)]
 report = {}
 
 def step(name, run):
-    del started[:], during[:]
+    del started[:], during[:], svds[:]
     value = run()
     report[name] = {"value": value, "threads_started": len(started),
-                    "blas_threads_during": during[:], "blas_threads_after": blas_threads()}
+                    "blas_threads_during": during[:], "svds": sorted(svds),
+                    "blas_threads_after": blas_threads()}
 
 def sweep(alphas_arg, out="r.csv"):
     code = cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm",
@@ -85,28 +98,45 @@ print(json.dumps(report))
 """
 
 
+def _svds(blas, side_by_side):
+    """Where a sweep's two SVDs ran: the cover's on the calling thread, the
+    watermark's on a helper when they ran side by side, both at ``blas``."""
+    return [["cover", True, blas], ["watermark", not side_by_side, blas]]
+
+
 @pytest.mark.skipif(not matrix._openblas_threads(),
                     reason="numpy's BLAS is not its bundled OpenBLAS")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_cli_sweep_threads(threads, tmp_path):
     r = run_with_blas_threads(SCRIPT, str(tmp_path), threads=threads)
     assert r["blas_found"]
-    # The library sweep starts no thread and never looks BLAS up.
+    # The library sweep starts no thread, never looks BLAS up and takes
+    # both SVDs on the calling thread.
     assert r["library"] == {"value": [True, th.SWEEP_256_CSV_SHA256], "threads_started": 0,
-                            "blas_threads_during": [None], "blas_threads_after": None}
-    # One thread per BLAS thread, the calling one included, with BLAS on one.
-    assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256], "threads_started": threads - 1,
-                        "blas_threads_during": [1], "blas_threads_after": threads}
-    assert r["cli_failing"] == {"value": 1, "threads_started": threads - 1,
-                                "blas_threads_during": [1], "blas_threads_after": threads}
+                            "blas_threads_during": [None], "svds": _svds(None, False),
+                            "blas_threads_after": None}
+    # With BLAS on one thread, the two SVDs share min(threads, 2) threads,
+    # then the alphas one thread per BLAS thread, the calling one included
+    # each time.
+    side_by_side = threads >= 2
+    assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
+                        "threads_started": (min(threads, 2) - 1) + (min(threads, 10) - 1),
+                        "blas_threads_during": [1], "svds": _svds(1, side_by_side),
+                        "blas_threads_after": threads}
+    assert r["cli_failing"] == {"value": 1,
+                                "threads_started": (min(threads, 2) - 1) + (min(threads, 3) - 1),
+                                "blas_threads_during": [1], "svds": _svds(1, side_by_side),
+                                "blas_threads_after": threads}
     # One alpha cannot share the cores, so BLAS keeps them.
     assert r["cli_one_alpha"] == {"value": 0, "threads_started": 0,
                                   "blas_threads_during": [threads],
+                                  "svds": _svds(threads, False),
                                   "blas_threads_after": threads}
     # Without the OpenBLAS functions the sweep runs on the calling thread.
     assert r["cli_no_blas_lookup"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
                                        "threads_started": 0,
                                        "blas_threads_during": [threads],
+                                       "svds": _svds(threads, False),
                                        "blas_threads_after": threads}
 
 
@@ -115,12 +145,13 @@ def test_cli_sweep_threads(threads, tmp_path):
 def test_cli_sweep_threads_at_blas_default(tmp_path):
     # Neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is set, so BLAS
     # picks its own count (the core count), the one case that can start
-    # more than one helper.
+    # more than one helper for the alphas.
     r = run_with_blas_threads(SCRIPT, str(tmp_path))
     threads = r["blas_threads"]
     assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
-                        "threads_started": min(threads, 10) - 1,
-                        "blas_threads_during": [1], "blas_threads_after": threads}
+                        "threads_started": (min(threads, 2) - 1) + (min(threads, 10) - 1),
+                        "blas_threads_during": [1], "svds": _svds(1, threads >= 2),
+                        "blas_threads_after": threads}
 
 
 TINY_ALPHA = """
@@ -152,3 +183,37 @@ def test_tiny_alpha_is_named_in_one_error_line(threads, tmp_path):
     assert run_with_blas_threads(TINY_ALPHA, str(tmp_path), threads=threads) == [
         [1, "", line], [1, "", line]]
     assert not (tmp_path / "r.csv").exists()
+
+
+OVERFLOW_SVD = """
+import contextlib, io, json, os, sys
+import numpy as np
+import svdmark as sm
+import thresholds as th
+from svdmark import matrix
+from svdmark.cli import cli_main
+
+os.chdir(sys.argv[1])
+sm.write_pgm(sm.synthetic_image(64, 64, th.COVER_SEED, roughness=2.0, contrast=52.0), "c.pgm")
+sm.write_float_image(np.full((64, 64), 1e308), "h.svdf")  # its SVD overflows sigma
+runs = []
+for cover, watermark in (("h.svdf", "c.pgm"), ("c.pgm", "h.svdf")):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["sweep", "--cover", cover, "--watermark", watermark, "--alphas",
+                         "0.1,0.2,0.3", "--attacks", "quantize-8bit", "--out", "r.csv"])
+    runs.append([code, out.getvalue(), err.getvalue(), os.path.exists("r.csv"),
+                 matrix._openblas_threads()[0]() if matrix._openblas_threads() else None])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_svd_is_one_error_line(threads, tmp_path):
+    # Over three alphas the cover's and the watermark's SVDs may run on two
+    # threads; whichever overflows, the sweep fails with one line, writes
+    # no CSV and gives BLAS its thread count back.
+    blas = threads if matrix._openblas_threads() else None
+    line = "error: InvalidInput: s contains NaN or Inf entries\n"
+    assert run_with_blas_threads(OVERFLOW_SVD, str(tmp_path), threads=threads) == [
+        [1, "", line, False, blas], [1, "", line, False, blas]]
