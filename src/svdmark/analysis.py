@@ -7,9 +7,7 @@ extraction residue has a non-zero mean after quantization, and centering
 keeps wrong-key scores concentrated near zero.
 """
 
-import contextvars
 import math
-import threading
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -17,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter
-from .matrix import _to_bytes_255, as_matrix, svd
+from .matrix import _map, _to_bytes_255, as_matrix, svd
 from .semiblind import _check_alpha, _conforming_pair, _mark, _unmark, split_watermark
 
 PEAK = 255.0
@@ -305,35 +303,3 @@ def _sweep(cover, watermark, alphas, attacks, workers):
         for spec, nc in zip(attacks, ncs)
     ))
 
-
-def _map(fn, items, workers):
-    """``[fn(x) for x in items]`` on ``w = min(workers, len(items))``
-    threads, the calling one included: thread ``k`` runs items ``k``,
-    ``k + w``, ... and stops at its own first failure; the others finish
-    theirs.  After the joins the lowest failing item's error is raised.
-    Every item before it ran, since a thread stops only at its own failure."""
-    w = max(1, min(workers, len(items)))
-    results, failures = [None] * len(items), {}
-
-    def work(k):
-        for i in range(k, len(items), w):
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # raised again below, in the calling thread
-                failures[i] = exc
-                return
-
-    # Each helper runs in a copy of this thread's context: NumPy 2 keeps
-    # errstate there, so the caller's ignored warnings stay ignored.
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, k))
-               for k in range(1, w)]
-    for t in helpers:
-        t.start()
-    try:
-        work(0)
-    finally:
-        for t in helpers:
-            t.join()
-    if failures:
-        raise failures[min(failures)]
-    return results

@@ -180,7 +180,11 @@ def _cmd_embed(args):
     w = formats.load_matrix(args.watermark)
     if args.resize_watermark and w.shape != planes[0].shape:
         w = analysis.resize_nearest(w, *planes[0].shape)
-    marked, infos = semiblind._embed_planes(planes, w, args.scheme, args.alpha, args.identity)
+    # As in the sweep: with two or more planes, BLAS stays on one thread and
+    # the planes' SVDs and the watermark's share its cores instead.
+    with matrix._single_threaded_blas(len(planes)) as threads:
+        marked, infos = semiblind._embed_planes(planes, w, args.scheme, args.alpha,
+                                                args.identity, threads)
     write_marked(color._with_planes(img, strategy, marked), args.out)
     try:
         formats._write_key(args.key, infos, strategy)
@@ -200,14 +204,16 @@ def _recover(args, recover):
 
 def _cmd_extract(args):
     write_out = formats._image_writer(args.out)
-    w_star = _recover(args, lambda m, info: invisible._extract_plane(m, info, args.identity))
+    masks = invisible._masks(args.identity)  # one mask for every plane
+    w_star = _recover(args, lambda m, info: invisible._extract_plane(m, info, masks))
     write_out(w_star, args.out)
     print(f"extracted={args.out}")
     return EXIT_OK
 
 
 def _cmd_verify(args):
-    w_star = _recover(args, lambda m, info: invisible.extract_invisible(m, info, args.identity))
+    masks = invisible._masks(args.identity)
+    w_star = _recover(args, lambda m, info: invisible._extract_keyed(m, info, masks))
     report = invisible._judge(w_star, formats.load_matrix(args.claimed), args.threshold)
     print(f"nc={_fixed6(report.nc_score)} threshold={report.threshold:.6f} "
           f"decision={report.decision.value}")

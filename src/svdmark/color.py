@@ -117,8 +117,9 @@ def extract_color(img, bundle, strategy, identity=None):
     Per-channel bundles yield the average of the three per-plane
     estimates; single-plane strategies extract from their plane directly.
     """
+    masks = invisible._masks(identity)
     return _recover(img, bundle.infos, bundle.strategy, strategy,
-                    lambda plane, info: invisible._extract_plane(plane, info, identity))
+                    lambda plane, info: invisible._extract_plane(plane, info, masks))
 
 
 def _recover(img, infos, made_with, strategy, recover):

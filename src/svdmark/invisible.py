@@ -10,6 +10,7 @@ core, which builds this payload; this module adds the keyed extraction
 and verification.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,10 +53,11 @@ def embed_invisible(cover, watermark, identity, alpha=DEFAULT_ALPHA):
     return marked, info
 
 
-def _extract_plane(marked, info, identity):
-    """Either scheme's extract: the keyed path runs when ``identity`` is given."""
-    if identity is not None:
-        return extract_invisible(marked, info, identity)
+def _extract_plane(marked, info, masks):
+    """Either scheme's extract: the keyed path runs when ``masks`` (from
+    ``_masks``) is given."""
+    if masks is not None:
+        return _extract_keyed(marked, info, masks)
     if info.scheme is SchemeTag.HASH_CODE:
         raise InvalidKey("hash-code extraction requires an identity")
     return semiblind.extract(marked, info)
@@ -79,8 +81,20 @@ def extract_invisible(marked, info, identity):
     A wrong identity unmasks to effectively random bytes and the result
     is uncorrelated with the committed watermark.
     """
+    return _extract_keyed(marked, info, functools.partial(derive_mask, identity))
+
+
+def _masks(identity):
+    """``masks(rows, cols)``: ``identity``'s mask of that shape, derived once
+    per shape, so that a reader of several planes derives it once; ``None``
+    without an identity."""
+    return None if identity is None else functools.cache(functools.partial(derive_mask, identity))
+
+
+def _extract_keyed(marked, info, masks):
+    """``extract_invisible``, the identity's mask taken from ``masks(rows, cols)``."""
     bytes_star = recover_masked_bytes(marked, info)
-    payload = xor_mask(bytes_star, derive_mask(identity, info.rows, info.cols))
+    payload = xor_mask(bytes_star, masks(info.rows, info.cols))
     a_wa = dequantize(payload, info.quant)
     return a_wa @ info.v_w.T
 

@@ -11,11 +11,14 @@ One trust rule: ``svd`` output is valid by construction and built
 unchecked, once its singular values are known to be finite; factors from
 a caller or a key file are checked on construction.  ``svd`` also bounds
 what one decomposition may cost, and ``_single_threaded_blas`` lets a
-caller that brings its own threads keep numpy's OpenBLAS off its cores.
+caller that brings its own threads (``_map``) keep numpy's OpenBLAS off
+its cores.
 """
 
 import contextlib
+import contextvars
 import ctypes
+import threading
 
 import numpy as np
 
@@ -151,12 +154,13 @@ def orthogonality_residual(m):
     return float(np.linalg.norm(gram))
 
 
-_openblas = None  # then (get, set) or ()
+_openblas = None  # then (get, set, stop or None) or ()
 
 
 def _openblas_threads():
     """The thread-count getter and setter of the OpenBLAS that numpy 2's
-    wheels bundle, looked up on first use; ``()`` under any other BLAS."""
+    wheels bundle, and its worker stop if it exports one, looked up on
+    first use; ``()`` under any other BLAS."""
     global _openblas
     if _openblas is None:
         from numpy._core import _multiarray_umath
@@ -164,11 +168,14 @@ def _openblas_threads():
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
         get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        stop = getattr(lib, "blas_thread_shutdown_", None)
         _openblas = ()
         if get and set_:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            _openblas = (get, set_)
+            if stop:
+                stop.argtypes, stop.restype = [], ctypes.c_int
+            _openblas = (get, set_, stop)
     return _openblas
 
 
@@ -178,14 +185,54 @@ def _single_threaded_blas(jobs):
     own threads; it gives how many to use, BLAS's thread count capped by
     ``jobs``.  When that is 2 or more, BLAS runs on one thread inside it
     and gets its count back on the way out, even on an exception; else,
-    or without numpy's bundled OpenBLAS, it gives 1 and changes nothing."""
-    blas = _openblas_threads()
+    or without numpy's bundled OpenBLAS, it gives 1 and changes nothing
+    (fewer than 2 jobs do not even look BLAS up).  Pinning also stops
+    OpenBLAS's idle workers, which spin for about 0.1 s after a threaded
+    call on the very cores the caller's threads are about to use; OpenBLAS
+    starts them again at its next threaded call."""
+    blas = _openblas_threads() if jobs >= 2 else ()
     threads = blas[0]() if blas else 1
     if min(threads, jobs) < 2:
         yield 1
         return
-    blas[1](1)
+    _, set_, stop = blas
+    set_(1)
+    if stop:
+        stop()
     try:
         yield min(threads, jobs)
     finally:
-        blas[1](threads)
+        set_(threads)
+
+
+def _map(fn, items, workers):
+    """``[fn(x) for x in items]`` on ``w = min(workers, len(items))``
+    threads, the calling one included: thread ``k`` runs items ``k``,
+    ``k + w``, ... and stops at its own first failure; the others finish
+    theirs.  After the joins the lowest failing item's error is raised.
+    Every item before it ran, since a thread stops only at its own failure."""
+    w = max(1, min(workers, len(items)))
+    results, failures = [None] * len(items), {}
+
+    def work(k):
+        for i in range(k, len(items), w):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised again below, in the calling thread
+                failures[i] = exc
+                return
+
+    # Each helper runs in a copy of this thread's context: NumPy 2 keeps
+    # errstate there, so the caller's ignored warnings stay ignored.
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, k))
+               for k in range(1, w)]
+    for t in helpers:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results

@@ -13,6 +13,7 @@ of ``A_wa`` in the same algebra, so one core here embeds both schemes,
 and the robustness sweep marks through its ``_mark`` step.
 """
 
+import functools
 import math
 from enum import Enum
 
@@ -20,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidKey, InvalidParameter, MalformedSideInfo
 from .hashstream import derive_mask, quantize, xor_mask
-from .matrix import ORTHOGONALITY_TOL, SvdFactors, _trusted, as_matrix, orthogonality_residual, svd
+from .matrix import (ORTHOGONALITY_TOL, SvdFactors, _map, _trusted, as_matrix,
+                     orthogonality_residual, svd)
 
 # Default embedding strength; strong enough to survive mild distortion
 # while keeping the marked image visually close to the cover.
@@ -133,14 +135,18 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     return marked, info
 
 
-def _embed_planes(planes, watermark, scheme, alpha, identity):
+def _embed_planes(planes, watermark, scheme, alpha, identity, workers=1):
     """Either scheme's embed of one watermark into same-shaped cover planes.
 
     The one place that decides between the schemes: the keyed scheme takes
     an identity and builds its masked payload once for every plane.  All
     arguments are checked before the first SVD, bar an alpha too small for
     a plane's sigma (or, keyed, to round back from); side infos are built
-    unchecked from fresh ``svd`` factors.  Returns ``(marked_planes, side_infos)``.
+    unchecked from fresh ``svd`` factors.  The watermark's split and the
+    planes' SVDs run on up to ``workers`` threads, the watermark's on the
+    calling one; they give the bits of a sequential embed only when BLAS
+    runs on one thread, so a caller with more workers pins it.  Returns
+    ``(marked_planes, side_infos)``.
     """
     scheme = SchemeTag(scheme)
     cover, w = _conforming_pair(planes[0], watermark)
@@ -150,20 +156,27 @@ def _embed_planes(planes, watermark, scheme, alpha, identity):
         raise InvalidKey(f"{scheme.value} embedding {need} identity")
     mask = derive_mask(identity, *w.shape) if keyed else None
     alpha = _check_alpha(alpha)
-    payload, v_w = split_watermark(w)
-    quant = None
-    if keyed:
-        payload, quant = quantize(payload)
-        payload = xor_mask(payload, mask).astype(np.float64)
     # The keyed scheme rounds its recovery, whose float error reached 1.6x
     # eps sigma_0 sqrt(max(M, N)) / alpha (scripts/calibrate_thresholds.py):
     # keeping that below 0.1 leaves the 0.5 rounding budget a wide margin.
     limit = 0.1 / (np.finfo(float).eps * math.sqrt(max(w.shape))) if keyed else math.inf
-    marked, infos = [], []
-    for p in (cover, *planes[1:]):
+    covers = (cover, *planes[1:])
+
+    def factor(p):
         f = svd(p)
         if not float(f.sigma[0]) / alpha < limit:
             raise InvalidParameter(f"alpha {alpha} is too small to recover a mark from")
+        return f
+
+    # The lowest failing job's error is raised: the watermark's, then each plane's in turn.
+    jobs = [lambda: split_watermark(w)] + [functools.partial(factor, p) for p in covers]
+    (payload, v_w), *factors = _map(lambda job: job(), jobs, workers)
+    quant = None
+    if keyed:
+        payload, quant = quantize(payload)
+        payload = xor_mask(payload, mask).astype(np.float64)
+    marked, infos = [], []
+    for p, f in zip(covers, factors):
         infos.append(_trusted(SideInfo, **vars(f), v_w=v_w, alpha=alpha, rows=p.shape[0],
                               cols=p.shape[1], scheme=scheme, quant=quant))
         marked.append(_mark(f, p, payload, alpha)[0])

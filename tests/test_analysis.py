@@ -432,7 +432,7 @@ def test_sweep_rejects_alpha_with_overflowing_psnr(small_scene, alpha):
 
 
 class TestThreadedSweep:
-    """``analysis._map`` and the CLI's ``_sweep`` over several threads."""
+    """``matrix._map`` and the CLI's ``_sweep`` over several threads."""
 
     @staticmethod
     def map_in_time(fn, items, workers):
@@ -442,7 +442,7 @@ class TestThreadedSweep:
 
         def target():
             try:
-                out["value"] = analysis._map(fn, items, workers)
+                out["value"] = matrix._map(fn, items, workers)
             except ValueError as exc:
                 out["error"] = exc
 

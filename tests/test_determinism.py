@@ -5,10 +5,14 @@ Run twice with the same thread count (1 or 2), the pinned pipeline
 repeats every output bit-for-bit.  Across 1 and 2 OpenBLAS threads only
 the set in ``STABLE`` is bit-identical: the BLAS reduction order changes
 the last bits of ``V``, ``V_w``, the marked images and the extracted
-watermarks.
+watermarks.  A ``perchannel`` colour embed from the CLI pins BLAS to one
+thread, so its marked PPM and key bytes are the same under 1 and 2.
 """
 
+import pytest
+
 from conftest import run_with_blas_threads
+from svdmark import matrix
 
 PIPELINE = """
 import hashlib, json
@@ -47,3 +51,32 @@ def test_outputs_across_blas_thread_counts():
                                        for t in (1, 2, 1, 2))
     assert one == one_again and two == two_again
     assert {k: one[k] for k in STABLE} == {k: two[k] for k in STABLE}
+
+
+PERCHANNEL_CLI = """
+import hashlib, json, os, sys
+import svdmark as sm
+import thresholds as th
+from svdmark.cli import cli_main
+
+os.chdir(sys.argv[1])
+sm.write_ppm(sm.synthetic_rgb(256, 256, th.COVER_SEED), "c.ppm")
+sm.write_pgm(sm.synthetic_image(256, 256, th.WM_SEED, roughness=1.2, contrast=70.0), "w.pgm")
+out = {}
+for command, ident in (("embed", []), ("embed-hash", ["--id", th.EMBED_ID])):
+    code = cli_main([command, "--cover", "c.ppm", "--watermark", "w.pgm", *ident,
+                     "--strategy", "perchannel", "--out", "m.ppm", "--key", "k.svdk"])
+    out[command] = [code] + [hashlib.sha256(open(f, "rb").read()).hexdigest()
+                             for f in ("m.ppm", "k.svdk")]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not matrix._openblas_threads(),
+                    reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_perchannel_cli_embed_across_blas_thread_counts(tmp_path):
+    # Its four SVDs run side by side with BLAS pinned to one thread, so the
+    # thread count changes neither the marked image nor the key.
+    one, two = (run_with_blas_threads(PERCHANNEL_CLI, str(tmp_path), threads=t) for t in (1, 2))
+    assert one == two
+    assert [v[0] for v in one.values()] == [0, 0]

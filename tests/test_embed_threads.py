@@ -1,0 +1,192 @@
+"""The CLI embed's threads, checked in subprocesses because the BLAS thread
+count is fixed when numpy loads.
+
+A ``perchannel`` colour embed from the CLI pins numpy's OpenBLAS to one
+thread and takes its four SVDs (the watermark's and three planes') on as
+many threads as BLAS had, at most three, the watermark's on the calling
+thread.  Afterwards BLAS has its thread count back, also after a refused
+keyed embed.  A grey, ``blue`` or ``luminance`` embed has one plane, so it
+starts no thread and never looks BLAS up; neither does the library's
+``embed_color``.  Pinning stops OpenBLAS's idle workers, or, where the
+stop cannot be found, only pins; either way a matrix product after the
+pin is bit-identical to one before it.
+"""
+
+import pytest
+
+from conftest import run_with_blas_threads
+from svdmark import matrix
+
+SCRIPT = """
+import hashlib, io, contextlib, json, os, sys, threading
+import numpy as np
+import svdmark as sm
+from svdmark import color, matrix, semiblind
+from svdmark.cli import cli_main
+
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda t: (started.append(t), start(t))[1]
+
+def blas_threads():
+    return matrix._openblas[0]() if matrix._openblas else None
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+os.chdir(sys.argv[1])
+img = sm.synthetic_rgb(64, 64, seed=5)
+wm = sm.synthetic_image(64, 64, 2002, roughness=1.2, contrast=70.0)
+sm.write_ppm(img, "c.ppm")
+sm.write_pgm(wm, "w.pgm")
+sm.write_pgm(sm.synthetic_image(64, 64, 1001, roughness=2.0, contrast=52.0), "c.pgm")
+img, wm = sm.read_ppm("c.ppm"), sm.read_pgm("w.pgm")  # the 8-bit planes the CLI reads
+names = {digest(wm): "watermark", digest(color.luminance_split(img)): "luminance"}
+names.update((digest(p), n) for n, p in zip("rgb", img.channels()))
+
+svds = []  # [input, on the calling thread, BLAS threads] of each embed SVD
+decompose = semiblind.svd
+def traced(m):
+    svds.append([names.get(digest(m), "cover"),
+                 threading.current_thread() is threading.main_thread(), blas_threads()])
+    return decompose(m)
+semiblind.svd = traced
+
+stops = []
+report = {}
+
+def step(name, run):
+    del started[:], svds[:], stops[:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        value = run()
+    report[name] = {"value": value, "stderr": err.getvalue(),
+                    "threads_started": len(started), "svds": sorted(svds),
+                    "stops": len(stops), "blas_looked_up": matrix._openblas is not None,
+                    "blas_threads_after": blas_threads()}
+
+def embed(cover, scheme, strategy=None, alpha="0.1"):
+    argv = ["embed" if scheme == "semi" else "embed-hash", "--cover", cover,
+            "--watermark", "w.pgm", "--out", "m" + cover[1:], "--key", "k.svdk",
+            "--alpha", alpha]
+    argv += ["--id", "alice|8f3a9c"] if scheme == "keyed" else []
+    argv += ["--strategy", strategy] if strategy else []
+    for f in ("m.pgm", "m.ppm", "k.svdk"):
+        if os.path.exists(f):
+            os.unlink(f)
+    code = cli_main(argv)
+    return [code, sorted(f for f in os.listdir() if f.startswith(("m.", "k.")))]
+
+def library(scheme):
+    ident = sm.Identity.from_string("alice|8f3a9c") if scheme == "keyed" else None
+    sm.embed_color(img, wm, "perchannel", scheme_tags[scheme], 0.1, ident)
+    return 0
+
+scheme_tags = {"semi": sm.SchemeTag.SEMI_BLIND, "keyed": sm.SchemeTag.HASH_CODE}
+for scheme in ("semi", "keyed"):  # none of these looks BLAS up
+    step(f"library/{scheme}", lambda: library(scheme))
+    step(f"grey/{scheme}", lambda: embed("c.pgm", scheme))
+    for strategy in ("blue", "luminance"):
+        step(f"{strategy}/{scheme}", lambda: embed("c.ppm", scheme, strategy))
+
+blas = matrix._openblas_threads()
+report["blas_found"] = bool(blas)
+report["blas_threads"] = blas_threads()
+if blas:
+    get, set_, stop = blas
+    matrix._openblas = (get, set_, stop and (lambda: (stops.append(get()), stop())[1]))
+for scheme in ("semi", "keyed"):
+    step(f"perchannel/{scheme}", lambda: embed("c.ppm", scheme, "perchannel"))
+step("perchannel/refused", lambda: embed("c.ppm", "keyed", "perchannel", "1e-13"))
+matrix._openblas_threads = lambda: ()
+step("perchannel/no_blas_lookup", lambda: embed("c.ppm", "semi", "perchannel"))
+print(json.dumps(report))
+"""
+
+
+def _run(value, svds, threads_started=0, stops=0, blas_looked_up=True,
+         blas_threads_after=None, stderr=""):
+    return {"value": value, "stderr": stderr, "threads_started": threads_started,
+            "svds": sorted(svds), "stops": stops, "blas_looked_up": blas_looked_up,
+            "blas_threads_after": blas_threads_after}
+
+
+def _perchannel(workers, blas, jobs=4):
+    """Where a perchannel embed's first ``jobs`` SVDs ran: job ``i`` (the
+    watermark's, then r's, g's and b's) on the calling thread when
+    ``i % workers == 0``, each at ``blas`` BLAS threads."""
+    return [[name, i % workers == 0, blas]
+            for i, name in enumerate(["watermark", "r", "g", "b"][:jobs])]
+
+
+@pytest.mark.skipif(not matrix._openblas_threads(),
+                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cli_embed_threads(threads, tmp_path):
+    r = run_with_blas_threads(SCRIPT, str(tmp_path), threads=threads)
+    assert r["blas_found"] and r["blas_threads"] == threads
+    # One-plane embeds and the library's take every SVD on the calling
+    # thread and never look BLAS up.
+    for scheme in ("semi", "keyed"):
+        assert r[f"library/{scheme}"] == _run(0, _perchannel(1, None), blas_looked_up=False)
+        for name, plane, out in (("grey", "cover", "m.pgm"), ("blue", "b", "m.ppm"),
+                                 ("luminance", "luminance", "m.ppm")):
+            assert r[f"{name}/{scheme}"] == _run(
+                [0, ["k.svdk", out]], [[plane, True, None], ["watermark", True, None]],
+                blas_looked_up=False), name
+    # With BLAS on one thread, the four SVDs share min(threads, 3) threads,
+    # and the pool's idle workers were stopped once, after the pin.
+    workers = min(threads, 3)
+    pinned = {"threads_started": workers - 1, "stops": int(workers > 1),
+              "blas_threads_after": threads}
+    for scheme in ("semi", "keyed"):
+        assert r[f"perchannel/{scheme}"] == _run([0, ["k.svdk", "m.ppm"]],
+                                                 _perchannel(workers, 1), **pinned)
+    # A keyed embed at an alpha too small to round back from on any plane
+    # is refused: each thread stops at its first plane, the error is
+    # r's, nothing is written and BLAS gets its count back.
+    line = "error: InvalidParameter: alpha 1e-13 is too small to recover a mark from\n"
+    assert r["perchannel/refused"] == _run([1, []], _perchannel(workers, 1, workers + 1),
+                                           stderr=line, **pinned)
+    # Without the OpenBLAS functions the embed runs on the calling thread.
+    assert r["perchannel/no_blas_lookup"] == _run([0, ["k.svdk", "m.ppm"]],
+                                                  _perchannel(1, threads),
+                                                  blas_threads_after=threads)
+
+
+STOP = """
+import json
+import numpy as np
+from svdmark import matrix
+
+get, set_, stop = matrix._openblas_threads()
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((512, 512)), rng.standard_normal((512, 512))
+before = (a @ b).tobytes()
+report = {"stop_found": bool(stop)}
+for name, use_stop in (("stop", stop), ("no_stop", None)):
+    calls = []
+    matrix._openblas = (get, lambda n: (calls.append(["set", n]), set_(n))[1],
+                        use_stop and (lambda: (calls.append(["stop", get()]), use_stop())[1]))
+    a @ b  # wakes BLAS's workers, if it has any
+    with matrix._single_threaded_blas(3) as workers:
+        inside = get()
+    report[name] = {"workers": workers, "inside": inside, "calls": calls,
+                    "after": get(), "gemm_after": (a @ b).tobytes() == before}
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.skipif(not matrix._openblas_threads(),
+                    reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_pin_stops_idle_workers():
+    r = run_with_blas_threads(STOP, threads=2)
+    assert r["stop_found"]
+    # The workers are stopped once BLAS is on one thread; a product after
+    # the pin, which starts them again, keeps its bits.
+    assert r["stop"] == {"workers": 2, "inside": 1,
+                         "calls": [["set", 1], ["stop", 1], ["set", 2]],
+                         "after": 2, "gemm_after": True}
+    # Without the stop the pin still sets and restores the count.
+    assert r["no_stop"] == {"workers": 2, "inside": 1, "calls": [["set", 1], ["set", 2]],
+                            "after": 2, "gemm_after": True}

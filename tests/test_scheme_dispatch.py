@@ -9,7 +9,7 @@ refused.
 import pytest
 
 import svdmark as sm
-from svdmark import semiblind
+from svdmark import invisible, semiblind
 from svdmark.cli import cli_main
 
 from conftest import seeded_matrix
@@ -150,6 +150,27 @@ def test_perchannel_keyed_embed_masks_once(monkeypatch, identity):
     sm.embed_color(sm.synthetic_rgb(24, 24, seed=5), seeded_matrix(3, 24, 24),
                    sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.HASH_CODE, 0.1, identity)
     assert sorted(calls) == ["derive_mask", "quantize"]
+
+
+@pytest.mark.parametrize("carrier, reader", [
+    *((c, r) for c in CARRIERS for r in ("extract-hash", "verify-hash")),
+    *((c, "extract_color") for c in CARRIERS[2:])])
+def test_keyed_read_masks_once(monkeypatch, files, identity, carrier, reader):
+    # Every plane of a key shares one shape, so a read derives the
+    # identity's mask once, as the embed does, however many planes it has.
+    p = files(carrier)
+    calls = []
+    original = invisible.derive_mask
+    monkeypatch.setattr(invisible, "derive_mask",
+                        lambda *a: calls.append(a[1:]) or original(*a))
+    if reader == "extract_color":
+        sm.extract_color(sm.read_ppm(p["hash"]), sm.load_bundle(p["hash_key"]), carrier,
+                         identity)
+    else:
+        check = ["--claimed", p["wm"]] if reader == "verify-hash" else ["--out", p["out"]]
+        assert cli_main([reader, "--marked", p["hash"], "--key", p["hash_key"], "--id", ID,
+                         *check]) in (0, 2)
+    assert calls == [(32, 32)]
 
 
 def _same_info(a, b):
