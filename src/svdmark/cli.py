@@ -180,9 +180,9 @@ def _cmd_embed(args):
     w = formats.load_matrix(args.watermark)
     if args.resize_watermark and w.shape != planes[0].shape:
         w = analysis.resize_nearest(w, *planes[0].shape)
-    # As in the sweep: with two or more planes, BLAS stays on one thread and
-    # the planes' SVDs and the watermark's share its cores instead.
-    with matrix._single_threaded_blas(len(planes)) as threads:
+    # As in the sweep: BLAS stays on one thread, and the planes' SVDs and
+    # the watermark's share its cores instead.
+    with matrix._single_threaded_blas(len(planes) + 1) as threads:
         marked, infos = semiblind._embed_planes(planes, w, args.scheme, args.alpha,
                                                 args.identity, threads)
     write_marked(color._with_planes(img, strategy, marked), args.out)

@@ -9,15 +9,16 @@ output bits, which is what makes stored side info replayable.
 
 One trust rule: ``svd`` output is valid by construction and built
 unchecked, once its singular values are known to be finite; factors from
-a caller or a key file are checked on construction.  ``svd`` also bounds
-what one decomposition may cost, and ``_single_threaded_blas`` lets a
-caller that brings its own threads (``_map``) keep numpy's OpenBLAS off
-its cores.
+a caller or a key file are checked on construction.  ``svd`` calls the
+LAPACK in numpy's bundled OpenBLAS itself and bounds what one
+decomposition may cost; ``_single_threaded_blas`` lets a caller with its
+own threads (``_map``) keep that OpenBLAS off its cores.
 """
 
 import contextlib
 import contextvars
 import ctypes
+import functools
 import threading
 
 import numpy as np
@@ -91,18 +92,10 @@ def _trusted(cls, **fields):
 
 
 def svd(a):
-    """Full singular value decomposition with a canonical sign convention.
-
-    Parameters
-    ----------
-    a : array
-        Real 2-D array with finite entries.
-
-    Returns
-    -------
-    SvdFactors
-        Factors such that ``u @ S @ v.T`` equals ``a`` up to roundoff,
-        where ``S`` is the M x N matrix with ``sigma`` on its diagonal.
+    """Full SVD of ``a``, a real 2-D array with finite entries, with a
+    canonical sign convention: ``SvdFactors`` such that ``u @ S @ v.T``
+    equals ``a`` up to roundoff, ``S`` being the M x N matrix with
+    ``sigma`` on its diagonal.
 
     The sign ambiguity of each singular-vector pair is resolved by making
     the largest-magnitude entry of every U column non-negative (first
@@ -111,21 +104,48 @@ def svd(a):
     applied directly.  The call is deterministic: identical input bits
     yield identical output bits.  LAPACK scales the singular values back
     up after the decomposition, so a finite input near the float64 limit
-    can overflow them; such an input fails with ``InvalidInput``.  So
-    does one whose factors would exceed ``MAX_FACTOR_ENTRIES``, before
-    LAPACK runs.
+    can overflow them; that fails with ``InvalidInput``, as do an input
+    LAPACK cannot decompose and, before LAPACK runs, one whose factors
+    would exceed ``MAX_FACTOR_ENTRIES``.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
     if m * m + n * n > MAX_FACTOR_ENTRIES:
         raise InvalidInput(f"the SVD of a {m}x{n} matrix needs {8 * (m * m + n * n)} bytes "
                            f"of factors, over the {8 * MAX_FACTOR_ENTRIES}-byte bound")
-    u, sv, vt = np.linalg.svd(a, full_matrices=True)
+    try:
+        u, sv, v = _lapack_svd(a)
+    except np.linalg.LinAlgError:
+        raise InvalidInput(f"the SVD of a {m}x{n} matrix did not converge") from None
     if not np.all(np.isfinite(sv)):  # LAPACK's rescaling can overflow
         raise InvalidInput("s contains NaN or Inf entries")
-    v = np.ascontiguousarray(vt.T)
     _canonical_signs(u, v)
     return _trusted(SvdFactors, u=u, sigma=sv, v=v)
+
+
+def _lapack_svd(a):
+    """``(U, sigma, V)`` from the bundled OpenBLAS's ``dgesdd``, called as
+    ``np.linalg.svd`` (the fallback) calls it, but freeing the input copy and
+    workspaces before ``U`` is copied out; an F-order ``VT`` is a C-order ``V``."""
+    gesdd = _bundled_openblas()[3]
+    if not gesdd:
+        u, sv, vt = np.linalg.svd(a)
+        return u, sv, np.ascontiguousarray(vt.T)
+    (m, n), k = a.shape, min(a.shape)
+    a = np.array(a, order="F")  # dgesdd overwrites it
+    sv, iwork, work = np.empty(k), np.empty(8 * k, dtype=np.int64), np.empty(1)
+    u, vt = np.empty((m, m), order="F"), np.empty((n, n), order="F")
+    im, in_, lwork, info = map(ctypes.c_int64, (m, n, -1, 0))
+    for _ in range(2):  # a workspace query (lwork -1), then the decomposition
+        gesdd(b"A", im, in_, a.ctypes, im, sv.ctypes, u.ctypes, im, vt.ctypes, in_,
+              work.ctypes, lwork, iwork.ctypes, info, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dgesdd failed with info {info.value}")
+        if lwork.value < 0:
+            lwork.value = int(work[0])
+            work = np.empty(lwork.value)
+    del a, work, iwork
+    return np.ascontiguousarray(u), sv, vt.T
 
 
 def _canonical_signs(u, v):
@@ -154,28 +174,39 @@ def orthogonality_residual(m):
     return float(np.linalg.norm(gram))
 
 
+@functools.cache
+def _bundled_openblas():
+    """The thread-count getter and setter, worker stop and ILP64 ``dgesdd`` of
+    the OpenBLAS in numpy 2's wheels, looked up once; ``None`` if not exported."""
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
+    i, p, c_int = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_int
+    found = []
+    for name, restype, argtypes in (
+            ("scipy_openblas_get_num_threads64_", c_int, []),
+            ("scipy_openblas_set_num_threads64_", None, [c_int]),
+            ("blas_thread_shutdown_", c_int, []),
+            # jobz m n a lda s u ldu vt ldvt work lwork iwork info, then len(jobz)
+            ("scipy_dgesdd_64_", None, [ctypes.c_char_p, i, i, p, i, p, p, i, p, i, p, i, p, i,
+                                        ctypes.c_size_t])):
+        f = getattr(lib, name, None)
+        if f:
+            f.restype, f.argtypes = restype, argtypes
+        found.append(f)
+    return found
+
+
 _openblas = None  # then (get, set, stop or None) or ()
 
 
 def _openblas_threads():
-    """The thread-count getter and setter of the OpenBLAS that numpy 2's
-    wheels bundle, and its worker stop if it exports one, looked up on
-    first use; ``()`` under any other BLAS."""
+    """The bundled OpenBLAS's thread-count getter, setter and worker stop
+    (``None`` if not exported), once a caller pins BLAS; else ``()``."""
     global _openblas
     if _openblas is None:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        stop = getattr(lib, "blas_thread_shutdown_", None)
-        _openblas = ()
-        if get and set_:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            if stop:
-                stop.argtypes, stop.restype = [], ctypes.c_int
-            _openblas = (get, set_, stop)
+        get, set_, stop, _ = _bundled_openblas()
+        _openblas = (get, set_, stop) if get and set_ else ()
     return _openblas
 
 
@@ -185,12 +216,11 @@ def _single_threaded_blas(jobs):
     own threads; it gives how many to use, BLAS's thread count capped by
     ``jobs``.  When that is 2 or more, BLAS runs on one thread inside it
     and gets its count back on the way out, even on an exception; else,
-    or without numpy's bundled OpenBLAS, it gives 1 and changes nothing
-    (fewer than 2 jobs do not even look BLAS up).  Pinning also stops
-    OpenBLAS's idle workers, which spin for about 0.1 s after a threaded
-    call on the very cores the caller's threads are about to use; OpenBLAS
-    starts them again at its next threaded call."""
-    blas = _openblas_threads() if jobs >= 2 else ()
+    or without numpy's bundled OpenBLAS, it gives 1 and changes nothing.
+    Pinning also stops OpenBLAS's idle workers, which spin for about 0.1 s
+    after a threaded call on the very cores the caller's threads are about
+    to use; OpenBLAS starts them again at its next threaded call."""
+    blas = _openblas_threads()
     threads = blas[0]() if blas else 1
     if min(threads, jobs) < 2:
         yield 1

@@ -5,8 +5,9 @@ Run twice with the same thread count (1 or 2), the pinned pipeline
 repeats every output bit-for-bit.  Across 1 and 2 OpenBLAS threads only
 the set in ``STABLE`` is bit-identical: the BLAS reduction order changes
 the last bits of ``V``, ``V_w``, the marked images and the extracted
-watermarks.  A ``perchannel`` colour embed from the CLI pins BLAS to one
-thread, so its marked PPM and key bytes are the same under 1 and 2.
+watermarks.  Every CLI embed pins BLAS to one thread, so its marked image
+and key bytes are the same under 1 and 2, and under 4 for the one-plane
+embeds.
 """
 
 import pytest
@@ -53,23 +54,38 @@ def test_outputs_across_blas_thread_counts():
     assert {k: one[k] for k in STABLE} == {k: two[k] for k in STABLE}
 
 
-PERCHANNEL_CLI = """
+CLI_EMBEDS = """
 import hashlib, json, os, sys
 import svdmark as sm
 import thresholds as th
 from svdmark.cli import cli_main
 
 os.chdir(sys.argv[1])
+sm.write_pgm(sm.synthetic_image(256, 256, th.COVER_SEED, roughness=2.0, contrast=52.0), "c.pgm")
 sm.write_ppm(sm.synthetic_rgb(256, 256, th.COVER_SEED), "c.ppm")
 sm.write_pgm(sm.synthetic_image(256, 256, th.WM_SEED, roughness=1.2, contrast=70.0), "w.pgm")
+keyed = ["--id", th.EMBED_ID]
+cases = {"grey": ("embed", "c.pgm", []), "grey-hash": ("embed-hash", "c.pgm", keyed)}
+for strategy in ("blue", "luminance", "perchannel"):
+    cases[strategy] = ("embed", "c.ppm", ["--strategy", strategy])
+    cases[strategy + "-hash"] = ("embed-hash", "c.ppm", ["--strategy", strategy, *keyed])
 out = {}
-for command, ident in (("embed", []), ("embed-hash", ["--id", th.EMBED_ID])):
-    code = cli_main([command, "--cover", "c.ppm", "--watermark", "w.pgm", *ident,
-                     "--strategy", "perchannel", "--out", "m.ppm", "--key", "k.svdk"])
-    out[command] = [code] + [hashlib.sha256(open(f, "rb").read()).hexdigest()
-                             for f in ("m.ppm", "k.svdk")]
+for name in sys.argv[2:]:
+    command, cover, extra = cases[name]
+    marked = "m" + cover[1:]
+    code = cli_main([command, "--cover", cover, "--watermark", "w.pgm", *extra,
+                     "--out", marked, "--key", "k.svdk"])
+    out[name] = [code] + [hashlib.sha256(open(f, "rb").read()).hexdigest()
+                          for f in (marked, "k.svdk")]
 print(json.dumps(out))
 """
+
+
+def _cli_embeds(tmp_path, names, threads):
+    runs = [run_with_blas_threads(CLI_EMBEDS, str(tmp_path), *names, threads=t)
+            for t in threads]
+    assert all(run == runs[0] for run in runs[1:])
+    assert [v[0] for v in runs[0].values()] == [0] * len(names)
 
 
 @pytest.mark.skipif(not matrix._openblas_threads(),
@@ -77,6 +93,12 @@ print(json.dumps(out))
 def test_perchannel_cli_embed_across_blas_thread_counts(tmp_path):
     # Its four SVDs run side by side with BLAS pinned to one thread, so the
     # thread count changes neither the marked image nor the key.
-    one, two = (run_with_blas_threads(PERCHANNEL_CLI, str(tmp_path), threads=t) for t in (1, 2))
-    assert one == two
-    assert [v[0] for v in one.values()] == [0, 0]
+    _cli_embeds(tmp_path, ["perchannel", "perchannel-hash"], (1, 2))
+
+
+@pytest.mark.skipif(not matrix._openblas_threads(),
+                    reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_one_plane_cli_embed_across_blas_thread_counts(tmp_path):
+    # A one-plane embed's two SVDs, the watermark's and the plane's, run
+    # side by side with BLAS pinned to one thread too.
+    _cli_embeds(tmp_path, ["grey", "grey-hash", "blue", "luminance"], (1, 2, 4))

@@ -1,15 +1,15 @@
 """The CLI embed's threads, checked in subprocesses because the BLAS thread
 count is fixed when numpy loads.
 
-A ``perchannel`` colour embed from the CLI pins numpy's OpenBLAS to one
-thread and takes its four SVDs (the watermark's and three planes') on as
-many threads as BLAS had, at most three, the watermark's on the calling
-thread.  Afterwards BLAS has its thread count back, also after a refused
-keyed embed.  A grey, ``blue`` or ``luminance`` embed has one plane, so it
-starts no thread and never looks BLAS up; neither does the library's
-``embed_color``.  Pinning stops OpenBLAS's idle workers, or, where the
-stop cannot be found, only pins; either way a matrix product after the
-pin is bit-identical to one before it.
+A CLI embed pins numpy's OpenBLAS to one thread and takes its SVDs, the
+watermark's and one per plane, on as many threads as BLAS had, at most
+one per SVD, the watermark's on the calling thread: two for a grey,
+``blue`` or ``luminance`` embed, four for a ``perchannel`` one.
+Afterwards BLAS has its thread count back, also after a refused keyed
+embed.  The library's ``embed_color`` starts no thread and never looks
+the thread functions up.  Pinning stops OpenBLAS's idle workers, or,
+where the stop cannot be found, only pins; either way a matrix product
+after the pin is bit-identical to one before it.
 """
 
 import pytest
@@ -83,11 +83,8 @@ def library(scheme):
     return 0
 
 scheme_tags = {"semi": sm.SchemeTag.SEMI_BLIND, "keyed": sm.SchemeTag.HASH_CODE}
-for scheme in ("semi", "keyed"):  # none of these looks BLAS up
+for scheme in ("semi", "keyed"):  # neither looks the thread functions up
     step(f"library/{scheme}", lambda: library(scheme))
-    step(f"grey/{scheme}", lambda: embed("c.pgm", scheme))
-    for strategy in ("blue", "luminance"):
-        step(f"{strategy}/{scheme}", lambda: embed("c.ppm", scheme, strategy))
 
 blas = matrix._openblas_threads()
 report["blas_found"] = bool(blas)
@@ -96,7 +93,9 @@ if blas:
     get, set_, stop = blas
     matrix._openblas = (get, set_, stop and (lambda: (stops.append(get()), stop())[1]))
 for scheme in ("semi", "keyed"):
-    step(f"perchannel/{scheme}", lambda: embed("c.ppm", scheme, "perchannel"))
+    step(f"grey/{scheme}", lambda: embed("c.pgm", scheme))
+    for strategy in ("blue", "luminance", "perchannel"):
+        step(f"{strategy}/{scheme}", lambda: embed("c.ppm", scheme, strategy))
 step("perchannel/refused", lambda: embed("c.ppm", "keyed", "perchannel", "1e-13"))
 matrix._openblas_threads = lambda: ()
 step("perchannel/no_blas_lookup", lambda: embed("c.ppm", "semi", "perchannel"))
@@ -111,12 +110,12 @@ def _run(value, svds, threads_started=0, stops=0, blas_looked_up=True,
             "blas_threads_after": blas_threads_after}
 
 
-def _perchannel(workers, blas, jobs=4):
-    """Where a perchannel embed's first ``jobs`` SVDs ran: job ``i`` (the
-    watermark's, then r's, g's and b's) on the calling thread when
+def _svds(planes, workers, blas, jobs=None):
+    """Where an embed's first ``jobs`` SVDs ran: job ``i`` (the watermark's,
+    then each of ``planes``' in turn) on the calling thread when
     ``i % workers == 0``, each at ``blas`` BLAS threads."""
     return [[name, i % workers == 0, blas]
-            for i, name in enumerate(["watermark", "r", "g", "b"][:jobs])]
+            for i, name in enumerate(["watermark", *planes][:jobs])]
 
 
 @pytest.mark.skipif(not matrix._openblas_threads(),
@@ -125,32 +124,34 @@ def _perchannel(workers, blas, jobs=4):
 def test_cli_embed_threads(threads, tmp_path):
     r = run_with_blas_threads(SCRIPT, str(tmp_path), threads=threads)
     assert r["blas_found"] and r["blas_threads"] == threads
-    # One-plane embeds and the library's take every SVD on the calling
-    # thread and never look BLAS up.
+    # The library's embed takes every SVD on the calling thread and never
+    # looks the thread functions up.
     for scheme in ("semi", "keyed"):
-        assert r[f"library/{scheme}"] == _run(0, _perchannel(1, None), blas_looked_up=False)
-        for name, plane, out in (("grey", "cover", "m.pgm"), ("blue", "b", "m.ppm"),
-                                 ("luminance", "luminance", "m.ppm")):
-            assert r[f"{name}/{scheme}"] == _run(
-                [0, ["k.svdk", out]], [[plane, True, None], ["watermark", True, None]],
-                blas_looked_up=False), name
-    # With BLAS on one thread, the four SVDs share min(threads, 3) threads,
-    # and the pool's idle workers were stopped once, after the pin.
-    workers = min(threads, 3)
-    pinned = {"threads_started": workers - 1, "stops": int(workers > 1),
-              "blas_threads_after": threads}
+        assert r[f"library/{scheme}"] == _run(0, _svds("rgb", 1, None), blas_looked_up=False)
+    # With BLAS on one thread, an embed's SVDs share min(threads, SVDs)
+    # threads, and the pool's idle workers were stopped once, after the pin.
+    def pinned(svds):
+        workers = min(threads, svds)
+        return workers, {"threads_started": workers - 1, "stops": int(workers > 1),
+                         "blas_threads_after": threads}
+
     for scheme in ("semi", "keyed"):
-        assert r[f"perchannel/{scheme}"] == _run([0, ["k.svdk", "m.ppm"]],
-                                                 _perchannel(workers, 1), **pinned)
+        for name, planes, out in (("grey", ["cover"], "m.pgm"), ("blue", ["b"], "m.ppm"),
+                                  ("luminance", ["luminance"], "m.ppm"),
+                                  ("perchannel", "rgb", "m.ppm")):
+            workers, pin = pinned(len(planes) + 1)
+            assert r[f"{name}/{scheme}"] == _run([0, ["k.svdk", out]],
+                                                 _svds(planes, workers, 1), **pin), name
     # A keyed embed at an alpha too small to round back from on any plane
     # is refused: each thread stops at its first plane, the error is
     # r's, nothing is written and BLAS gets its count back.
+    workers, pin = pinned(4)
     line = "error: InvalidParameter: alpha 1e-13 is too small to recover a mark from\n"
-    assert r["perchannel/refused"] == _run([1, []], _perchannel(workers, 1, workers + 1),
-                                           stderr=line, **pinned)
+    assert r["perchannel/refused"] == _run([1, []], _svds("rgb", workers, 1, workers + 1),
+                                           stderr=line, **pin)
     # Without the OpenBLAS functions the embed runs on the calling thread.
     assert r["perchannel/no_blas_lookup"] == _run([0, ["k.svdk", "m.ppm"]],
-                                                  _perchannel(1, threads),
+                                                  _svds("rgb", 1, threads),
                                                   blas_threads_after=threads)
 
 

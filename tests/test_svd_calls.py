@@ -315,9 +315,14 @@ def test_output_path_checked_before_any_work(svd_calls, tmp_path, capsys, comman
 
 @pytest.fixture()
 def lapack_calls(monkeypatch):
+    """Every call into LAPACK's SVD, by the direct ``dgesdd`` route or by
+    ``np.linalg.svd``."""
     calls = []
     original = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: (calls.append(a), original(*a, **k))[1])
+    *threads, gesdd = matrix._bundled_openblas()
+    counted = gesdd and (lambda *a: (calls.append(a), gesdd(*a))[1])
+    monkeypatch.setattr(matrix, "_bundled_openblas", lambda: [*threads, counted])
     return calls
 
 
