@@ -267,23 +267,24 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     ``embed``, ``apply_attack``, ``extract`` and ``normalized_correlation``
     give for its alpha, to the bit.
     """
-    return _sweep(cover, watermark, alphas, attacks, workers=1)
+    return _sweep(cover, watermark, alphas, attacks, threaded=False)
 
 
-def _sweep(cover, watermark, alphas, attacks, workers):
-    """``robustness_sweep`` with its cover and watermark SVDs side by side,
-    then its alphas, on up to ``workers`` threads.  Its rows equal the
-    sequential sweep's only when BLAS runs on one thread, so the caller
-    pins it for the whole sweep."""
+def _sweep(cover, watermark, alphas, attacks, threaded):
+    """``robustness_sweep``, its cover and watermark SVDs side by side
+    through ``_map``.  ``threaded`` spreads its alphas over ``_map`` too, as
+    the CLI does; else they run in order, unpinned, so that each row equals
+    ``embed``, ``apply_attack``, ``extract`` and ``normalized_correlation``
+    to the bit (a pinned dot product can differ in the last bit)."""
     cover, watermark = _conforming_pair(cover, watermark)
     alphas = [_check_alpha(x) for x in alphas]
     attacks = list(attacks)
     if not alphas or not attacks:
         raise InvalidParameter("alphas and attacks must be non-empty")
     attack_fns = [_attack(spec, cover.shape) for spec in attacks]
-    # The two SVDs share the threads too; the cover's error comes first.
+    # The cover's error comes first.
     f, (a_wa, v_w) = _map(lambda job: job(), [lambda: svd(cover),
-                                              lambda: split_watermark(watermark)], workers)
+                                              lambda: split_watermark(watermark)])
     centred_wm = _centred(watermark)
 
     def alpha_row(alpha):
@@ -299,7 +300,8 @@ def _sweep(cover, watermark, alphas, attacks, workers):
 
     return RobustnessReport(rows=tuple(
         SweepRow(alpha=alpha, attack=spec, psnr_db=fidelity, nc=nc)
-        for alpha, (fidelity, ncs) in zip(alphas, _map(alpha_row, alphas, workers))
+        for alpha, (fidelity, ncs) in zip(
+            alphas, _map(alpha_row, alphas) if threaded else map(alpha_row, alphas))
         for spec, nc in zip(attacks, ncs)
     ))
 

@@ -180,11 +180,7 @@ def _cmd_embed(args):
     w = formats.load_matrix(args.watermark)
     if args.resize_watermark and w.shape != planes[0].shape:
         w = analysis.resize_nearest(w, *planes[0].shape)
-    # As in the sweep: BLAS stays on one thread, and the planes' SVDs and
-    # the watermark's share its cores instead.
-    with matrix._single_threaded_blas(len(planes) + 1) as threads:
-        marked, infos = semiblind._embed_planes(planes, w, args.scheme, args.alpha,
-                                                args.identity, threads)
+    marked, infos = semiblind._embed_planes(planes, w, args.scheme, args.alpha, args.identity)
     write_marked(color._with_planes(img, strategy, marked), args.out)
     try:
         formats._write_key(args.key, infos, strategy)
@@ -223,7 +219,7 @@ def _cmd_verify(args):
 def _cmd_detect_reference(args):
     write_out = formats._image_writer(args.out) if args.out else None
     reference = formats.load_matrix(args.reference)
-    basis = functools.cache(lambda: matrix.svd(reference).v)  # one SVD for every plane
+    basis = functools.cache(lambda: matrix._map(matrix.svd, [reference])[0].v)
     p_star = _recover(args, lambda m, info: semiblind._detect_reference(m, info, reference, basis))
     if write_out:
         write_out(p_star, args.out)
@@ -257,11 +253,7 @@ def _cmd_sweep(args):
     attacks = [_parse_attack(text, seed) for text in args.attacks.split(",") if text]
     cover = formats.load_matrix(args.cover)
     watermark = formats.load_matrix(args.watermark)
-    # Threads beat BLAS's own only while its pool sleeps, so when two or
-    # more alphas can share BLAS's cores, BLAS stays on one thread for the
-    # whole sweep and the two SVDs, then the alphas, get its cores instead.
-    with matrix._single_threaded_blas(len(alphas)) as threads:
-        report = analysis._sweep(cover, watermark, alphas, attacks, workers=threads)
+    report = analysis._sweep(cover, watermark, alphas, attacks, threaded=True)
     formats._atomic_write(args.out, report.to_csv().encode("ascii"))
     print(f"report={args.out} rows={len(report.rows)}")
     return EXIT_OK

@@ -11,11 +11,10 @@ One trust rule: ``svd`` output is valid by construction and built
 unchecked, once its singular values are known to be finite; factors from
 a caller or a key file are checked on construction.  ``svd`` calls the
 LAPACK in numpy's bundled OpenBLAS itself and bounds what one
-decomposition may cost; ``_single_threaded_blas`` lets a caller with its
-own threads (``_map``) keep that OpenBLAS off its cores.
+decomposition may cost.  Every SVD batch goes through ``_map``, which pins
+that OpenBLAS to one thread, so factors keep their bits at any thread count.
 """
 
-import contextlib
 import contextvars
 import ctypes
 import functools
@@ -197,51 +196,22 @@ def _bundled_openblas():
     return found
 
 
-_openblas = None  # then (get, set, stop or None) or ()
+_pin = threading.Lock()  # held by ``_map``, so no two callers interleave set and restore
 
 
-def _openblas_threads():
-    """The bundled OpenBLAS's thread-count getter, setter and worker stop
-    (``None`` if not exported), once a caller pins BLAS; else ``()``."""
-    global _openblas
-    if _openblas is None:
-        get, set_, stop, _ = _bundled_openblas()
-        _openblas = (get, set_, stop) if get and set_ else ()
-    return _openblas
-
-
-@contextlib.contextmanager
-def _single_threaded_blas(jobs):
-    """Context manager for a caller with ``jobs`` tasks to spread over its
-    own threads; it gives how many to use, BLAS's thread count capped by
-    ``jobs``.  When that is 2 or more, BLAS runs on one thread inside it
-    and gets its count back on the way out, even on an exception; else,
-    or without numpy's bundled OpenBLAS, it gives 1 and changes nothing.
-    Pinning also stops OpenBLAS's idle workers, which spin for about 0.1 s
-    after a threaded call on the very cores the caller's threads are about
-    to use; OpenBLAS starts them again at its next threaded call."""
-    blas = _openblas_threads()
-    threads = blas[0]() if blas else 1
-    if min(threads, jobs) < 2:
-        yield 1
-        return
-    _, set_, stop = blas
-    set_(1)
-    if stop:
-        stop()
-    try:
-        yield min(threads, jobs)
-    finally:
-        set_(threads)
-
-
-def _map(fn, items, workers):
-    """``[fn(x) for x in items]`` on ``w = min(workers, len(items))``
-    threads, the calling one included: thread ``k`` runs items ``k``,
-    ``k + w``, ... and stops at its own first failure; the others finish
-    theirs.  After the joins the lowest failing item's error is raised.
-    Every item before it ran, since a thread stops only at its own failure."""
-    w = max(1, min(workers, len(items)))
+def _map(fn, items):
+    """``[fn(x) for x in items]`` with numpy's bundled OpenBLAS off the
+    items' cores.  Under its lock, when that OpenBLAS runs on ``n >= 2``
+    threads, ``_map`` sets it to one, stops its idle workers if no other
+    Python thread is alive (they spin for about 0.1 s after a threaded call,
+    on the very cores about to be used), runs the items on
+    ``w = min(n, len(items))`` threads, the calling one included, and gives
+    BLAS ``n`` back, even on an exception; else the items run in order on
+    the calling thread.  Thread ``k`` runs items ``k``, ``k + w``, ... and
+    stops at its own first failure; the others finish theirs.  After the
+    joins the lowest failing item's error is raised.  Every item before it
+    ran, since a thread stops only at its own failure."""
+    get, set_, stop, _ = _bundled_openblas()
     results, failures = [None] * len(items), {}
 
     def work(k):
@@ -252,17 +222,28 @@ def _map(fn, items, workers):
                 failures[i] = exc
                 return
 
-    # Each helper runs in a copy of this thread's context: NumPy 2 keeps
-    # errstate there, so the caller's ignored warnings stay ignored.
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, k))
-               for k in range(1, w)]
-    for t in helpers:
-        t.start()
-    try:
-        work(0)
-    finally:
-        for t in helpers:
-            t.join()
+    with _pin:
+        threads = get() if get and set_ else 1
+        w = max(1, min(threads, len(items)))
+        if threads > 1:
+            set_(1)
+            if stop and threading.active_count() == 1:  # else it can hang another's call
+                stop()
+        # Each helper runs in a copy of this thread's context: NumPy 2 keeps
+        # errstate there, so the caller's ignored warnings stay ignored.
+        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, k))
+                   for k in range(1, w)]
+        try:
+            for t in helpers:
+                t.start()
+            try:
+                work(0)
+            finally:
+                for t in helpers:
+                    t.join()
+        finally:
+            if threads > 1:
+                set_(threads)
     if failures:
         raise failures[min(failures)]
     return results

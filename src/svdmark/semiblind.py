@@ -135,7 +135,7 @@ def embed(cover, watermark, alpha=DEFAULT_ALPHA):
     return marked, info
 
 
-def _embed_planes(planes, watermark, scheme, alpha, identity, workers=1):
+def _embed_planes(planes, watermark, scheme, alpha, identity):
     """Either scheme's embed of one watermark into same-shaped cover planes.
 
     The one place that decides between the schemes: the keyed scheme takes
@@ -143,10 +143,9 @@ def _embed_planes(planes, watermark, scheme, alpha, identity, workers=1):
     arguments are checked before the first SVD, bar an alpha too small for
     a plane's sigma (or, keyed, to round back from); side infos are built
     unchecked from fresh ``svd`` factors.  The watermark's split and the
-    planes' SVDs run on up to ``workers`` threads, the watermark's on the
-    calling one; they give the bits of a sequential embed only when BLAS
-    runs on one thread, so a caller with more workers pins it.  Returns
-    ``(marked_planes, side_infos)``.
+    planes' SVDs run side by side through ``_map``, the watermark's on the
+    calling thread; the marking products follow in order on that thread.
+    Returns ``(marked_planes, side_infos)``.
     """
     scheme = SchemeTag(scheme)
     cover, w = _conforming_pair(planes[0], watermark)
@@ -170,7 +169,7 @@ def _embed_planes(planes, watermark, scheme, alpha, identity, workers=1):
 
     # The lowest failing job's error is raised: the watermark's, then each plane's in turn.
     jobs = [lambda: split_watermark(w)] + [functools.partial(factor, p) for p in covers]
-    (payload, v_w), *factors = _map(lambda job: job(), jobs, workers)
+    (payload, v_w), *factors = _map(lambda job: job(), jobs)
     quant = None
     if keyed:
         payload, quant = quantize(payload)
@@ -216,7 +215,7 @@ def detect_reference(marked, info, reference):
     singular vectors of ``reference``, whose shape must be the key's (checked
     before its SVD).  The true watermark reproduces the extraction; an
     unrelated image correlates with the result well below that score."""
-    return _detect_reference(marked, info, reference, lambda: svd(reference).v)
+    return _detect_reference(marked, info, reference, lambda: _map(svd, [reference])[0].v)
 
 
 def _detect_reference(marked, info, reference, basis):

@@ -9,6 +9,7 @@ import pytest
 
 import svdmark as sm
 import thresholds as th
+from svdmark import matrix
 
 
 def make_cover(n=256):
@@ -70,3 +71,55 @@ def run_with_blas_threads(script, *args, threads=None):
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+class FakeOpenBLAS:
+    """A stand-in for ``matrix._bundled_openblas``: OpenBLAS's thread getter,
+    setter and worker stop, each set and stop logged in ``calls`` (a stop
+    with the count it found), and the real ``dgesdd``.  The three pass
+    through to the bundled OpenBLAS or, given ``threads``, keep a count of
+    their own that no BLAS call follows.  ``stop=False`` leaves the stop
+    out, and ``found = False`` all three, as a BLAS that does not export
+    them; ``get`` still reads the count."""
+
+    def __init__(self, threads=None, stop=True):
+        self._get, self._set, self._stop, self.gesdd = matrix._bundled_openblas()
+        if threads is not None:
+            count = [threads]
+            self._get, self._set = (lambda: count[0]), (lambda n: count.__setitem__(0, n))
+            self._stop = lambda: 0
+        self.has_stop, self.found, self.calls = stop, True, []
+
+    def __call__(self):
+        if not self.found:
+            return [None, None, None, self.gesdd]
+        return [self.get, self.set, self.stop if self.has_stop else None, self.gesdd]
+
+    def get(self):
+        return self._get()
+
+    def set(self, n):
+        self.calls.append(["set", n])
+        self._set(n)
+
+    def stop(self):
+        self.calls.append(["stop", self._get()])
+        return self._stop()
+
+    def stops(self):
+        return sum(call[0] == "stop" for call in self.calls)
+
+
+@pytest.fixture()
+def fake_openblas(monkeypatch):
+    """``install(**kwargs)``: a ``FakeOpenBLAS(**kwargs)`` in place of
+    ``matrix._bundled_openblas`` for the test, returned."""
+    def install(**kwargs):
+        fake = FakeOpenBLAS(**kwargs)
+        monkeypatch.setattr(matrix, "_bundled_openblas", fake)
+        return fake
+    return install
+
+
+needs_openblas = pytest.mark.skipif(not matrix._bundled_openblas()[0],
+                                    reason="numpy's BLAS is not its bundled OpenBLAS")

@@ -432,17 +432,18 @@ def test_sweep_rejects_alpha_with_overflowing_psnr(small_scene, alpha):
 
 
 class TestThreadedSweep:
-    """``matrix._map`` and the CLI's ``_sweep`` over several threads."""
+    """``matrix._map`` and the CLI's ``_sweep`` over several threads, with a
+    fake OpenBLAS that reports them."""
 
     @staticmethod
-    def map_in_time(fn, items, workers):
+    def map_in_time(fn, items):
         # Under a short switch interval, so threads interleave often; the
         # map runs in a thread joined with a timeout, so a hang fails.
         out, interval = {}, sys.getswitchinterval()
 
         def target():
             try:
-                out["value"] = matrix._map(fn, items, workers)
+                out["value"] = matrix._map(fn, items)
             except ValueError as exc:
                 out["error"] = exc
 
@@ -456,13 +457,24 @@ class TestThreadedSweep:
         assert not t.is_alive()
         return out
 
-    def test_each_item_runs_once(self):
-        ran = []
-        out = self.map_in_time(lambda x: (ran.append(x), x * x)[1], list(range(400)), 8)
-        assert out == {"value": [x * x for x in range(400)]}
-        assert sorted(ran) == list(range(400))
+    def test_each_item_runs_once(self, fake_openblas):
+        blas = fake_openblas(threads=8)
+        ran, threads = [], set()
 
-    def test_lowest_failure_raised_after_every_earlier_item(self):
+        def fn(x):
+            ran.append(x)
+            threads.add(threading.current_thread())
+            return x * x
+
+        out = self.map_in_time(fn, list(range(400)))
+        assert out == {"value": [x * x for x in range(400)]}
+        assert sorted(ran) == list(range(400)) and len(threads) == 8
+        # The test's own thread is alive beside the map's caller, so the
+        # idle workers are left alone: a stop under its BLAS call could hang it.
+        assert blas.calls == [["set", 1], ["set", 8]]
+
+    def test_lowest_failure_raised_after_every_earlier_item(self, fake_openblas):
+        blas = fake_openblas(threads=8)
         ran = []
 
         def fn(x):
@@ -471,13 +483,18 @@ class TestThreadedSweep:
                 raise ValueError(x)
             return x
 
-        out = self.map_in_time(fn, list(range(400)), 8)
+        out = self.map_in_time(fn, list(range(400)))
         assert out["error"].args == (100,)
         assert set(range(101)) <= set(ran) and len(ran) == len(set(ran))
+        assert blas.get() == 8
 
     @pytest.mark.parametrize("shape", [(32, 32), (24, 40), (40, 24)])
-    def test_rows_equal_the_sequential_sweep_with_blas_pinned(self, shape):
+    def test_rows_equal_the_sequential_sweep_with_blas_pinned(self, fake_openblas, shape):
+        # Each of the three maps, the threaded sweep's SVD pair and alphas
+        # and the sequential sweep's SVD pair, pins BLAS and gives it back
+        # (the stops between depend on what other threads are alive).
+        blas = fake_openblas(threads=3)
         cover, wm = seeded_matrix(21, *shape), seeded_matrix(22, *shape)
         args = (cover, wm, [0.02, 0.05, 0.1, 0.2, 0.5], TestSweepEquivalence.ATTACKS)
-        with matrix._single_threaded_blas(3):
-            assert analysis._sweep(*args, workers=3) == sm.robustness_sweep(*args)
+        assert analysis._sweep(*args, threaded=True) == sm.robustness_sweep(*args)
+        assert [c for c in blas.calls if c[0] == "set"] == [["set", 1], ["set", 3]] * 3

@@ -1,19 +1,16 @@
 """How far the README's determinism claim reaches, checked in subprocesses
 because the BLAS thread count is fixed when numpy loads.
 
-Run twice with the same thread count (1 or 2), the pinned pipeline
-repeats every output bit-for-bit.  Across 1 and 2 OpenBLAS threads only
-the set in ``STABLE`` is bit-identical: the BLAS reduction order changes
-the last bits of ``V``, ``V_w``, the marked images and the extracted
-watermarks.  Every CLI embed pins BLAS to one thread, so its marked image
-and key bytes are the same under 1 and 2, and under 4 for the one-plane
-embeds.
+Every SVD the package takes, from the library or the CLI, runs through
+``matrix._map`` with BLAS pinned to one thread, so the pipeline's outputs
+are bit-identical under 1, 2 and 4 OpenBLAS threads: the factors, the
+marked images, the extracted watermarks, the keyed bytes and the sweep
+CSV.  Likewise every CLI embed writes the same marked image and key
+bytes, and ``detect-reference`` the same projection, under 1, 2 and 4
+(the ``perchannel`` embeds under 1 and 2).
 """
 
-import pytest
-
-from conftest import run_with_blas_threads
-from svdmark import matrix
+from conftest import needs_openblas, run_with_blas_threads
 
 PIPELINE = """
 import hashlib, json
@@ -44,18 +41,16 @@ print(json.dumps({
 }))
 """
 
-STABLE = {"u", "s", "keyed_bytes", "sweep_csv"}
-
 
 def test_outputs_across_blas_thread_counts():
-    one, two, one_again, two_again = (run_with_blas_threads(PIPELINE, threads=t)
-                                       for t in (1, 2, 1, 2))
+    one, two, four, one_again, two_again = (run_with_blas_threads(PIPELINE, threads=t)
+                                             for t in (1, 2, 4, 1, 2))
     assert one == one_again and two == two_again
-    assert {k: one[k] for k in STABLE} == {k: two[k] for k in STABLE}
+    assert one == two == four
 
 
 CLI_EMBEDS = """
-import hashlib, json, os, sys
+import contextlib, hashlib, io, json, os, sys
 import svdmark as sm
 import thresholds as th
 from svdmark.cli import cli_main
@@ -64,19 +59,31 @@ os.chdir(sys.argv[1])
 sm.write_pgm(sm.synthetic_image(256, 256, th.COVER_SEED, roughness=2.0, contrast=52.0), "c.pgm")
 sm.write_ppm(sm.synthetic_rgb(256, 256, th.COVER_SEED), "c.ppm")
 sm.write_pgm(sm.synthetic_image(256, 256, th.WM_SEED, roughness=1.2, contrast=70.0), "w.pgm")
+sm.write_pgm(sm.synthetic_image(256, 256, th.REF_SEEDS[0], roughness=1.9, contrast=55.0),
+             "r.pgm")
 keyed = ["--id", th.EMBED_ID]
 cases = {"grey": ("embed", "c.pgm", []), "grey-hash": ("embed-hash", "c.pgm", keyed)}
 for strategy in ("blue", "luminance", "perchannel"):
     cases[strategy] = ("embed", "c.ppm", ["--strategy", strategy])
     cases[strategy + "-hash"] = ("embed-hash", "c.ppm", ["--strategy", strategy, *keyed])
+
+def digests(*files):
+    return [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in files]
+
 out = {}
 for name in sys.argv[2:]:
+    if name == "detect-reference":  # on the grey embed's marked image and key
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli_main(["detect-reference", "--marked", "m.pgm", "--key", "k.svdk",
+                             "--reference", "r.pgm", "--out", "p.svdf"])
+        out[name] = [code, printed.getvalue()] + digests("p.svdf")
+        continue
     command, cover, extra = cases[name]
     marked = "m" + cover[1:]
     code = cli_main([command, "--cover", cover, "--watermark", "w.pgm", *extra,
                      "--out", marked, "--key", "k.svdk"])
-    out[name] = [code] + [hashlib.sha256(open(f, "rb").read()).hexdigest()
-                          for f in (marked, "k.svdk")]
+    out[name] = [code] + digests(marked, "k.svdk")
 print(json.dumps(out))
 """
 
@@ -88,17 +95,21 @@ def _cli_embeds(tmp_path, names, threads):
     assert [v[0] for v in runs[0].values()] == [0] * len(names)
 
 
-@pytest.mark.skipif(not matrix._openblas_threads(),
-                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@needs_openblas
 def test_perchannel_cli_embed_across_blas_thread_counts(tmp_path):
     # Its four SVDs run side by side with BLAS pinned to one thread, so the
     # thread count changes neither the marked image nor the key.
     _cli_embeds(tmp_path, ["perchannel", "perchannel-hash"], (1, 2))
 
 
-@pytest.mark.skipif(not matrix._openblas_threads(),
-                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@needs_openblas
 def test_one_plane_cli_embed_across_blas_thread_counts(tmp_path):
     # A one-plane embed's two SVDs, the watermark's and the plane's, run
     # side by side with BLAS pinned to one thread too.
     _cli_embeds(tmp_path, ["grey", "grey-hash", "blue", "luminance"], (1, 2, 4))
+
+
+@needs_openblas
+def test_detect_reference_across_blas_thread_counts(tmp_path):
+    # The reference's SVD runs with BLAS pinned to one thread, as the embed's do.
+    _cli_embeds(tmp_path, ["grey", "detect-reference"], (1, 2, 4))

@@ -1,26 +1,26 @@
-"""The CLI embed's threads, checked in subprocesses because the BLAS thread
+"""The embed's threads, checked in subprocesses because the BLAS thread
 count is fixed when numpy loads.
 
-A CLI embed pins numpy's OpenBLAS to one thread and takes its SVDs, the
-watermark's and one per plane, on as many threads as BLAS had, at most
-one per SVD, the watermark's on the calling thread: two for a grey,
+Every embed, from the library or the CLI, takes its SVDs through
+``matrix._map``: numpy's OpenBLAS is pinned to one thread and the SVDs,
+the watermark's and one per plane, run on as many threads as BLAS had, at
+most one per SVD, the watermark's on the calling thread: two for a grey,
 ``blue`` or ``luminance`` embed, four for a ``perchannel`` one.
 Afterwards BLAS has its thread count back, also after a refused keyed
-embed.  The library's ``embed_color`` starts no thread and never looks
-the thread functions up.  Pinning stops OpenBLAS's idle workers, or,
-where the stop cannot be found, only pins; either way a matrix product
-after the pin is bit-identical to one before it.
+embed.  Pinning stops OpenBLAS's idle workers, or, where the stop cannot
+be found, only pins; either way a matrix product after the pin is
+bit-identical to one before it.
 """
 
 import pytest
 
-from conftest import run_with_blas_threads
-from svdmark import matrix
+from conftest import needs_openblas, run_with_blas_threads
 
 SCRIPT = """
 import hashlib, io, contextlib, json, os, sys, threading
 import numpy as np
 import svdmark as sm
+from conftest import FakeOpenBLAS
 from svdmark import color, matrix, semiblind
 from svdmark.cli import cli_main
 
@@ -28,8 +28,8 @@ started = []
 start = threading.Thread.start
 threading.Thread.start = lambda t: (started.append(t), start(t))[1]
 
-def blas_threads():
-    return matrix._openblas[0]() if matrix._openblas else None
+# The real thread functions, each set and stop logged.
+blas = matrix._bundled_openblas = FakeOpenBLAS()
 
 def digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
@@ -48,22 +48,20 @@ svds = []  # [input, on the calling thread, BLAS threads] of each embed SVD
 decompose = semiblind.svd
 def traced(m):
     svds.append([names.get(digest(m), "cover"),
-                 threading.current_thread() is threading.main_thread(), blas_threads()])
+                 threading.current_thread() is threading.main_thread(), blas.get()])
     return decompose(m)
 semiblind.svd = traced
 
-stops = []
 report = {}
 
 def step(name, run):
-    del started[:], svds[:], stops[:]
+    del started[:], svds[:], blas.calls[:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         value = run()
     report[name] = {"value": value, "stderr": err.getvalue(),
                     "threads_started": len(started), "svds": sorted(svds),
-                    "stops": len(stops), "blas_looked_up": matrix._openblas is not None,
-                    "blas_threads_after": blas_threads()}
+                    "stops": blas.stops(), "blas_threads_after": blas.get()}
 
 def embed(cover, scheme, strategy=None, alpha="0.1"):
     argv = ["embed" if scheme == "semi" else "embed-hash", "--cover", cover,
@@ -83,31 +81,22 @@ def library(scheme):
     return 0
 
 scheme_tags = {"semi": sm.SchemeTag.SEMI_BLIND, "keyed": sm.SchemeTag.HASH_CODE}
-for scheme in ("semi", "keyed"):  # neither looks the thread functions up
-    step(f"library/{scheme}", lambda: library(scheme))
-
-blas = matrix._openblas_threads()
-report["blas_found"] = bool(blas)
-report["blas_threads"] = blas_threads()
-if blas:
-    get, set_, stop = blas
-    matrix._openblas = (get, set_, stop and (lambda: (stops.append(get()), stop())[1]))
+report["blas_threads"] = blas.get()
 for scheme in ("semi", "keyed"):
+    step(f"library/{scheme}", lambda: library(scheme))
     step(f"grey/{scheme}", lambda: embed("c.pgm", scheme))
     for strategy in ("blue", "luminance", "perchannel"):
         step(f"{strategy}/{scheme}", lambda: embed("c.ppm", scheme, strategy))
 step("perchannel/refused", lambda: embed("c.ppm", "keyed", "perchannel", "1e-13"))
-matrix._openblas_threads = lambda: ()
+blas.found = False
 step("perchannel/no_blas_lookup", lambda: embed("c.ppm", "semi", "perchannel"))
 print(json.dumps(report))
 """
 
 
-def _run(value, svds, threads_started=0, stops=0, blas_looked_up=True,
-         blas_threads_after=None, stderr=""):
+def _run(value, svds, threads_started=0, stops=0, blas_threads_after=None, stderr=""):
     return {"value": value, "stderr": stderr, "threads_started": threads_started,
-            "svds": sorted(svds), "stops": stops, "blas_looked_up": blas_looked_up,
-            "blas_threads_after": blas_threads_after}
+            "svds": sorted(svds), "stops": stops, "blas_threads_after": blas_threads_after}
 
 
 def _svds(planes, workers, blas, jobs=None):
@@ -118,16 +107,11 @@ def _svds(planes, workers, blas, jobs=None):
             for i, name in enumerate(["watermark", *planes][:jobs])]
 
 
-@pytest.mark.skipif(not matrix._openblas_threads(),
-                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@needs_openblas
 @pytest.mark.parametrize("threads", [1, 2])
 def test_cli_embed_threads(threads, tmp_path):
     r = run_with_blas_threads(SCRIPT, str(tmp_path), threads=threads)
-    assert r["blas_found"] and r["blas_threads"] == threads
-    # The library's embed takes every SVD on the calling thread and never
-    # looks the thread functions up.
-    for scheme in ("semi", "keyed"):
-        assert r[f"library/{scheme}"] == _run(0, _svds("rgb", 1, None), blas_looked_up=False)
+    assert r["blas_threads"] == threads
     # With BLAS on one thread, an embed's SVDs share min(threads, SVDs)
     # threads, and the pool's idle workers were stopped once, after the pin.
     def pinned(svds):
@@ -136,6 +120,9 @@ def test_cli_embed_threads(threads, tmp_path):
                          "blas_threads_after": threads}
 
     for scheme in ("semi", "keyed"):
+        # The library's embed_color takes its SVDs as the CLI's perchannel embed.
+        workers, pin = pinned(4)
+        assert r[f"library/{scheme}"] == _run(0, _svds("rgb", workers, 1), **pin)
         for name, planes, out in (("grey", ["cover"], "m.pgm"), ("blue", ["b"], "m.ppm"),
                                   ("luminance", ["luminance"], "m.ppm"),
                                   ("perchannel", "rgb", "m.ppm")):
@@ -156,38 +143,38 @@ def test_cli_embed_threads(threads, tmp_path):
 
 
 STOP = """
-import json
+import json, threading
 import numpy as np
+from conftest import FakeOpenBLAS
 from svdmark import matrix
 
-get, set_, stop = matrix._openblas_threads()
+real = matrix._bundled_openblas
+report = {"stop_found": bool(real()[2])}
 rng = np.random.default_rng(0)
 a, b = rng.standard_normal((512, 512)), rng.standard_normal((512, 512))
 before = (a @ b).tobytes()
-report = {"stop_found": bool(stop)}
-for name, use_stop in (("stop", stop), ("no_stop", None)):
-    calls = []
-    matrix._openblas = (get, lambda n: (calls.append(["set", n]), set_(n))[1],
-                        use_stop and (lambda: (calls.append(["stop", get()]), use_stop())[1]))
+for name, stop in (("stop", True), ("no_stop", False)):
+    matrix._bundled_openblas = real
+    blas = matrix._bundled_openblas = FakeOpenBLAS(stop=stop)
     a @ b  # wakes BLAS's workers, if it has any
-    with matrix._single_threaded_blas(3) as workers:
-        inside = get()
-    report[name] = {"workers": workers, "inside": inside, "calls": calls,
-                    "after": get(), "gemm_after": (a @ b).tobytes() == before}
+    inside = matrix._map(lambda _: [blas.get(), threading.get_ident()], range(3))
+    report[name] = {"threads": len({t for _, t in inside}), "inside": [n for n, _ in inside],
+                    "calls": blas.calls, "after": blas.get(),
+                    "gemm_after": (a @ b).tobytes() == before}
 print(json.dumps(report))
 """
 
 
-@pytest.mark.skipif(not matrix._openblas_threads(),
-                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@needs_openblas
 def test_pin_stops_idle_workers():
     r = run_with_blas_threads(STOP, threads=2)
     assert r["stop_found"]
-    # The workers are stopped once BLAS is on one thread; a product after
+    # Three items share BLAS's two threads, on which BLAS reads one; the
+    # workers are stopped once BLAS is on one thread, and a product after
     # the pin, which starts them again, keeps its bits.
-    assert r["stop"] == {"workers": 2, "inside": 1,
+    assert r["stop"] == {"threads": 2, "inside": [1, 1, 1],
                          "calls": [["set", 1], ["stop", 1], ["set", 2]],
                          "after": 2, "gemm_after": True}
     # Without the stop the pin still sets and restores the count.
-    assert r["no_stop"] == {"workers": 2, "inside": 1, "calls": [["set", 1], ["set", 2]],
-                            "after": 2, "gemm_after": True}
+    assert r["no_stop"] == {"threads": 2, "inside": [1, 1, 1],
+                            "calls": [["set", 1], ["set", 2]], "after": 2, "gemm_after": True}

@@ -17,6 +17,9 @@ none.  Every other command that writes an image checks that path before
 it reads any input, so a refused one does no work either.  An input
 whose factors would pass ``matrix.MAX_FACTOR_ENTRIES`` reaches ``svd``
 but never LAPACK.
+Every LAPACK call, from every CLI command and every library entry point
+that takes an SVD, runs with BLAS pinned to one thread, and two library
+callers in two threads each get the one-thread bits.
 """
 
 import math
@@ -34,7 +37,7 @@ import svdmark as sm
 from svdmark import matrix
 from svdmark.cli import cli_main
 
-from conftest import seeded_matrix
+from conftest import needs_openblas, run_with_blas_threads, seeded_matrix
 from keyfiles import key_parts, key_payload, write_key_parts
 
 
@@ -368,3 +371,105 @@ def test_cli_refuses_a_strip_past_the_bound(lapack_calls, tmp_path, capsys, argv
     _refused(tmp_path, capsys, [*argv, "--cover", cover, "--watermark", wm], "InvalidInput",
              [os.path.basename(cover), "w.pgm"])
     assert lapack_calls == []
+
+
+def test_every_lapack_call_runs_with_blas_pinned(fake_openblas, monkeypatch, tmp_path,
+                                                 capsys, identity):
+    # Under 2 (fake) BLAS threads, each command and entry point records the
+    # BLAS thread count at each LAPACK call it makes.
+    cover, wm, ref = (seeded_matrix(seed, 16, 16).round() for seed in (1, 2, 3))
+    marked, info = sm.embed(cover, wm, 0.1)
+    blas = fake_openblas(threads=2)
+    counts, lapack = {}, matrix._lapack_svd
+    monkeypatch.setattr(matrix, "_lapack_svd",
+                        lambda a: (counts[name].append(blas.get()), lapack(a))[1])
+    img = sm.synthetic_rgb(16, 16, seed=5)
+    p = {n: str(tmp_path / n) for n in ("c.pgm", "w.pgm", "r.pgm", "c.ppm", "m.pgm", "m.ppm",
+                                        "mh.pgm", "a.pgm", "k.svdk", "kc.svdk", "kh.svdk",
+                                        "x.svdf", "r.csv")}
+    for image, path in ((cover, "c.pgm"), (wm, "w.pgm"), (ref, "r.pgm")):
+        sm.write_pgm(image, p[path])
+    sm.write_ppm(img, p["c.ppm"])
+    ident = ["--id", "alice|8f3a9c"]
+    pair = ["--cover", p["c.pgm"], "--watermark", p["w.pgm"]]
+    argvs = {
+        "embed": ["embed", *pair, "--out", p["m.pgm"], "--key", p["k.svdk"]],
+        "embed --strategy perchannel": [
+            "embed", "--cover", p["c.ppm"], "--watermark", p["w.pgm"],
+            "--strategy", "perchannel", "--out", p["m.ppm"], "--key", p["kc.svdk"]],
+        "embed-hash": ["embed-hash", *pair, *ident, "--out", p["mh.pgm"],
+                       "--key", p["kh.svdk"]],
+        "extract": ["extract", "--marked", p["m.pgm"], "--key", p["k.svdk"],
+                    "--out", p["x.svdf"]],
+        "extract-hash": ["extract-hash", "--marked", p["mh.pgm"],
+                         "--key", p["kh.svdk"], *ident, "--out", p["x.svdf"]],
+        "verify-hash": ["verify-hash", "--marked", p["mh.pgm"],
+                        "--key", p["kh.svdk"], *ident, "--claimed", p["w.pgm"]],
+        "detect-reference": ["detect-reference", "--marked", p["m.pgm"], "--key", p["k.svdk"],
+                             "--reference", p["r.pgm"]],
+        "detect-reference perchannel": ["detect-reference", "--marked", p["m.ppm"],
+                                        "--key", p["kc.svdk"], "--reference", p["r.pgm"]],
+        "metrics": ["metrics", "--a", p["c.pgm"], "--b", p["m.pgm"]],
+        "attack": ["attack", "--input", p["m.pgm"], "--output", p["a.pgm"],
+                   "--kind", "quantize-8bit"],
+        "sweep": ["sweep", *pair, "--alphas", "0.05,0.1,0.2", "--attacks", "quantize-8bit",
+                  "--out", p["r.csv"]],
+    }
+    for name, argv in argvs.items():
+        counts[name] = []
+        assert cli_main(argv) in (0, 2), name
+    capsys.readouterr()
+    attacks = [sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT)]
+    calls = {
+        "library embed": lambda: sm.embed(cover, wm, 0.1),
+        "library embed_invisible": lambda: sm.embed_invisible(cover, wm, identity, 0.1),
+        "library embed_color": lambda: sm.embed_color(
+            img, wm, sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.HASH_CODE, 0.1, identity),
+        "library detect_reference": lambda: sm.detect_reference(marked, info, ref),
+        "library robustness_sweep": lambda: sm.robustness_sweep(cover, wm, [0.05, 0.1],
+                                                                attacks),
+    }
+    for name, call in calls.items():
+        counts[name] = []
+        call()
+    takes = {"embed": 2, "embed --strategy perchannel": 4, "embed-hash": 2,
+             "detect-reference": 1, "detect-reference perchannel": 1, "sweep": 2,
+             "library embed": 2, "library embed_invisible": 2, "library embed_color": 4,
+             "library detect_reference": 1, "library robustness_sweep": 2}
+    assert counts == {name: [1] * takes.get(name, 0) for name in counts}
+    assert blas.get() == 2
+
+
+TWO_CALLERS = """
+import hashlib, json, sys, threading
+import numpy as np
+import svdmark as sm
+import thresholds as th
+from svdmark import matrix
+
+cover = sm.synthetic_image(256, 256, th.COVER_SEED, roughness=2.0, contrast=52.0)
+wm = sm.synthetic_image(256, 256, th.WM_SEED, roughness=1.2, contrast=70.0)
+
+def embed():
+    marked, info = sm.embed(cover, wm, 0.1)
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in (marked, info.u, info.sigma, info.v, info.v_w)]
+
+runs = [None] * int(sys.argv[1])
+def run(k):
+    runs[k] = embed()
+callers = [threading.Thread(target=run, args=(k,)) for k in range(len(runs))]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join()
+print(json.dumps({"runs": runs, "blas_after": matrix._bundled_openblas()[0]()}))
+"""
+
+
+@needs_openblas
+def test_two_library_callers_get_the_one_thread_bits():
+    # The pin's lock keeps one caller's restore from unpinning the other's SVDs.
+    one = run_with_blas_threads(TWO_CALLERS, "1", threads=1)
+    two = run_with_blas_threads(TWO_CALLERS, "2", threads=2)
+    assert two == {"runs": one["runs"] * 2, "blas_after": 2}

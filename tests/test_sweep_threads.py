@@ -1,30 +1,32 @@
 """The CLI sweep's threads, checked in subprocesses because the BLAS thread
 count is fixed when numpy loads.
 
-``sweep`` pins numpy's OpenBLAS to one thread for the whole command,
-takes the cover's and the watermark's SVDs side by side on two threads,
-then spreads its alphas over as many threads as BLAS had, the calling
-thread one of them each time.  Its CSV must not change: under 1 and
-under 2 BLAS threads, and at BLAS's own default count, the canonical
-scene's CSV hashes to ``SWEEP_256_CSV_SHA256``.  Afterwards BLAS has its
-thread count back, also after a failing sweep.  A sweep of one alpha,
-and a sweep where the OpenBLAS functions cannot be found, starts no
-thread and leaves BLAS alone.  A failing alpha is named in the one error
-line, whichever thread meets it, and so is a failing SVD, whichever of
-the two fails.  The library's ``robustness_sweep`` stays sequential and
-never touches BLAS.
+``sweep`` takes the cover's and the watermark's SVDs side by side through
+``matrix._map``, then spreads its alphas over ``_map`` too: each time
+numpy's OpenBLAS is pinned to one thread and the work runs on as many
+threads as BLAS had, the calling thread one of them.  Its CSV must not
+change: under 1 and under 2 BLAS threads, and at BLAS's own default
+count, the canonical scene's CSV hashes to ``SWEEP_256_CSV_SHA256``.
+Afterwards BLAS has its thread count back, also after a failing sweep.
+A sweep of one alpha still takes its two SVDs side by side, and a sweep
+where the OpenBLAS functions cannot be found starts no thread and leaves
+BLAS alone.  A failing alpha is named in the one error line, whichever
+thread meets it, and so is a failing SVD, whichever of the two fails.
+The library's ``robustness_sweep`` takes its SVDs the same way but its
+rows in order on the calling thread, with BLAS as the caller left it.
 """
 
 import pytest
 
 import thresholds as th
-from conftest import run_with_blas_threads
+from conftest import needs_openblas, run_with_blas_threads
 from svdmark import matrix
 
 SCRIPT = """
 import hashlib, json, os, sys, threading
 import svdmark as sm
 import thresholds as th
+from conftest import FakeOpenBLAS
 from svdmark import analysis, matrix
 from svdmark.cli import cli_main
 
@@ -32,21 +34,20 @@ started = []
 start = threading.Thread.start
 threading.Thread.start = lambda t: (started.append(t), start(t))[1]
 
-def blas_threads():
-    return matrix._openblas[0]() if matrix._openblas else None
+blas = matrix._bundled_openblas = FakeOpenBLAS()  # the real thread functions
 
-during = []
-sweep_body = analysis._sweep
-def counted_sweep(*args, **kwargs):
-    during.append(blas_threads())
-    return sweep_body(*args, **kwargs)
-analysis._sweep = counted_sweep
+during = set()  # the BLAS thread counts the alpha rows met
+mark = analysis._mark
+def counted_mark(*args):
+    during.add(blas.get())
+    return mark(*args)
+analysis._mark = counted_mark
 
 svds = []  # [input, on the calling thread, BLAS threads] of each sweep SVD
 def traced(name, decompose):
     def call(m):
         svds.append([name, threading.current_thread() is threading.main_thread(),
-                     blas_threads()])
+                     blas.get()])
         return decompose(m)
     return call
 analysis.svd = traced("cover", analysis.svd)
@@ -66,11 +67,12 @@ alphas = [round(0.05 * k, 2) for k in range(1, 11)]
 report = {}
 
 def step(name, run):
-    del started[:], during[:], svds[:]
+    del started[:], svds[:]
+    during.clear()
     value = run()
     report[name] = {"value": value, "threads_started": len(started),
-                    "blas_threads_during": during[:], "svds": sorted(svds),
-                    "blas_threads_after": blas_threads()}
+                    "blas_threads_during": sorted(during), "svds": sorted(svds),
+                    "blas_threads_after": blas.get()}
 
 def sweep(alphas_arg, out="r.csv"):
     code = cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm",
@@ -82,17 +84,16 @@ def sweep(alphas_arg, out="r.csv"):
 
 def library():
     csv = sm.robustness_sweep(cover, wm, alphas, specs).to_csv()
-    return matrix._openblas is None, hashlib.sha256(csv.encode("ascii")).hexdigest()
+    return hashlib.sha256(csv.encode("ascii")).hexdigest()
 
 step("library", library)
-report["blas_found"] = bool(matrix._openblas_threads())
-report["blas_threads"] = blas_threads()
+report["blas_threads"] = blas.get()
 step("cli", lambda: sweep(",".join(map(str, alphas))))
 step("cli_one_alpha", lambda: sweep("0.1", "r1.csv")[0])
 step("cli_failing", lambda: cli_main(["sweep", "--cover", "c.pgm", "--watermark", "w.pgm",
                                       "--alphas", "0.1,0.2,5e-324", "--attacks",
                                       "quantize-8bit", "--out", "bad.csv"]))
-matrix._openblas_threads = lambda: ()
+blas.found = False
 step("cli_no_blas_lookup", lambda: sweep(",".join(map(str, alphas)), "r2.csv"))
 print(json.dumps(report))
 """
@@ -104,21 +105,20 @@ def _svds(blas, side_by_side):
     return [["cover", True, blas], ["watermark", not side_by_side, blas]]
 
 
-@pytest.mark.skipif(not matrix._openblas_threads(),
-                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@needs_openblas
 @pytest.mark.parametrize("threads", [1, 2])
 def test_cli_sweep_threads(threads, tmp_path):
     r = run_with_blas_threads(SCRIPT, str(tmp_path), threads=threads)
-    assert r["blas_found"]
-    # The library sweep starts no thread, never looks BLAS up and takes
-    # both SVDs on the calling thread.
-    assert r["library"] == {"value": [True, th.SWEEP_256_CSV_SHA256], "threads_started": 0,
-                            "blas_threads_during": [None], "svds": _svds(None, False),
-                            "blas_threads_after": None}
+    assert r["blas_threads"] == threads
     # With BLAS on one thread, the two SVDs share min(threads, 2) threads,
     # then the alphas one thread per BLAS thread, the calling one included
-    # each time.
+    # each time.  The library sweep takes its SVDs the same way, and its
+    # rows on the calling thread with BLAS as it was.
     side_by_side = threads >= 2
+    assert r["library"] == {"value": th.SWEEP_256_CSV_SHA256,
+                            "threads_started": min(threads, 2) - 1,
+                            "blas_threads_during": [threads], "svds": _svds(1, side_by_side),
+                            "blas_threads_after": threads}
     assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
                         "threads_started": (min(threads, 2) - 1) + (min(threads, 10) - 1),
                         "blas_threads_during": [1], "svds": _svds(1, side_by_side),
@@ -127,10 +127,11 @@ def test_cli_sweep_threads(threads, tmp_path):
                                 "threads_started": (min(threads, 2) - 1) + (min(threads, 3) - 1),
                                 "blas_threads_during": [1], "svds": _svds(1, side_by_side),
                                 "blas_threads_after": threads}
-    # One alpha cannot share the cores, so BLAS keeps them.
-    assert r["cli_one_alpha"] == {"value": 0, "threads_started": 0,
-                                  "blas_threads_during": [threads],
-                                  "svds": _svds(threads, False),
+    # One alpha runs on the calling thread, pinned, after the two SVDs
+    # ran side by side.
+    assert r["cli_one_alpha"] == {"value": 0, "threads_started": min(threads, 2) - 1,
+                                  "blas_threads_during": [1],
+                                  "svds": _svds(1, side_by_side),
                                   "blas_threads_after": threads}
     # Without the OpenBLAS functions the sweep runs on the calling thread.
     assert r["cli_no_blas_lookup"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
@@ -140,8 +141,7 @@ def test_cli_sweep_threads(threads, tmp_path):
                                        "blas_threads_after": threads}
 
 
-@pytest.mark.skipif(not matrix._openblas_threads(),
-                    reason="numpy's BLAS is not its bundled OpenBLAS")
+@needs_openblas
 def test_cli_sweep_threads_at_blas_default(tmp_path):
     # Neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is set, so BLAS
     # picks its own count (the core count), the one case that can start
@@ -202,8 +202,9 @@ for cover, watermark in (("h.svdf", "c.pgm"), ("c.pgm", "h.svdf")):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(["sweep", "--cover", cover, "--watermark", watermark, "--alphas",
                          "0.1,0.2,0.3", "--attacks", "quantize-8bit", "--out", "r.csv"])
+    get = matrix._bundled_openblas()[0]
     runs.append([code, out.getvalue(), err.getvalue(), os.path.exists("r.csv"),
-                 matrix._openblas_threads()[0]() if matrix._openblas_threads() else None])
+                 get and get()])
 print(json.dumps(runs))
 """
 
@@ -213,7 +214,7 @@ def test_failing_svd_is_one_error_line(threads, tmp_path):
     # Over three alphas the cover's and the watermark's SVDs may run on two
     # threads; whichever overflows, the sweep fails with one line, writes
     # no CSV and gives BLAS its thread count back.
-    blas = threads if matrix._openblas_threads() else None
+    blas = threads if matrix._bundled_openblas()[0] else None
     line = "error: InvalidInput: s contains NaN or Inf entries\n"
     assert run_with_blas_threads(OVERFLOW_SVD, str(tmp_path), threads=threads) == [
         [1, "", line, False, blas], [1, "", line, False, blas]]
