@@ -4,7 +4,8 @@ All stochastic attacks draw from numpy's PCG64 generator seeded per
 attack spec, so a sweep reproduces bit-for-bit from its inputs.  The
 detection statistic everywhere is mean-centered (Pearson) correlation:
 extraction residue has a non-zero mean after quantization, and centering
-keeps wrong-key scores concentrated near zero.
+keeps wrong-key scores concentrated near zero.  Its sums are numpy's own,
+not BLAS's, so every score has the same bits at any BLAS thread count.
 """
 
 import math
@@ -67,7 +68,7 @@ def _centred(a):
         return None
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         ac = (a - a.mean()).ravel()
-        norm = float(ac @ ac)
+        norm = float(np.einsum("i,i", ac, ac))  # not ``@``: see ``_correlate``
     if not 2.0**-500 <= norm <= 2.0**500:
         return _centred(np.ldexp(a, -np.frexp(np.abs(a).max())[1]))
     return ac, norm
@@ -86,7 +87,9 @@ def _correlate(a, b, stacklevel):
         return 1.0
     if ac[0] == -bc[0] and np.array_equal(ac, -bc):
         return -1.0
-    nc = float(ac @ bc) / float(np.sqrt(da * db))
+    # numpy sums the products itself: ``@``, ``np.dot`` and ``np.vecdot``
+    # call BLAS's ``ddot``, whose bits change with the BLAS thread count.
+    nc = float(np.einsum("i,i", ac, bc)) / float(np.sqrt(da * db))
     return float(min(1.0, max(-1.0, nc)))
 
 
@@ -263,19 +266,12 @@ def robustness_sweep(cover, watermark, alphas, attacks):
     the attacked image.  Everything that does not depend on alpha is
     done once per sweep: the cover and watermark SVDs, each attack's
     checks and seeded noise, and the centred watermark.  A sweep thus
-    costs two SVDs whatever its length, and each row equals what
-    ``embed``, ``apply_attack``, ``extract`` and ``normalized_correlation``
-    give for its alpha, to the bit.
+    costs two SVDs whatever its length.  The SVD pair, then the alphas,
+    run side by side through ``_map``, so BLAS stays pinned to one thread
+    for the whole row phase; no row's bits depend on that, and each row
+    equals what ``embed``, ``apply_attack``, ``extract`` and
+    ``normalized_correlation`` give for its alpha, to the bit.
     """
-    return _sweep(cover, watermark, alphas, attacks, threaded=False)
-
-
-def _sweep(cover, watermark, alphas, attacks, threaded):
-    """``robustness_sweep``, its cover and watermark SVDs side by side
-    through ``_map``.  ``threaded`` spreads its alphas over ``_map`` too, as
-    the CLI does; else they run in order, unpinned, so that each row equals
-    ``embed``, ``apply_attack``, ``extract`` and ``normalized_correlation``
-    to the bit (a pinned dot product can differ in the last bit)."""
     cover, watermark = _conforming_pair(cover, watermark)
     alphas = [_check_alpha(x) for x in alphas]
     attacks = list(attacks)
@@ -300,8 +296,6 @@ def _sweep(cover, watermark, alphas, attacks, threaded):
 
     return RobustnessReport(rows=tuple(
         SweepRow(alpha=alpha, attack=spec, psnr_db=fidelity, nc=nc)
-        for alpha, (fidelity, ncs) in zip(
-            alphas, _map(alpha_row, alphas) if threaded else map(alpha_row, alphas))
+        for alpha, (fidelity, ncs) in zip(alphas, _map(alpha_row, alphas))
         for spec, nc in zip(attacks, ncs)
     ))
-

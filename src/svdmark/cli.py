@@ -253,7 +253,7 @@ def _cmd_sweep(args):
     attacks = [_parse_attack(text, seed) for text in args.attacks.split(",") if text]
     cover = formats.load_matrix(args.cover)
     watermark = formats.load_matrix(args.watermark)
-    report = analysis._sweep(cover, watermark, alphas, attacks, threaded=True)
+    report = analysis.robustness_sweep(cover, watermark, alphas, attacks)
     formats._atomic_write(args.out, report.to_csv().encode("ascii"))
     print(f"report={args.out} rows={len(report.rows)}")
     return EXIT_OK

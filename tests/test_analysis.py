@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import svdmark as sm
-from svdmark import analysis, matrix
+from svdmark import matrix
 from svdmark.errors import DimensionError, InvalidInput, InvalidParameter
 
 import thresholds as th
@@ -432,7 +432,7 @@ def test_sweep_rejects_alpha_with_overflowing_psnr(small_scene, alpha):
 
 
 class TestThreadedSweep:
-    """``matrix._map`` and the CLI's ``_sweep`` over several threads, with a
+    """``matrix._map`` and ``robustness_sweep`` over several threads, with a
     fake OpenBLAS that reports them."""
 
     @staticmethod
@@ -490,11 +490,14 @@ class TestThreadedSweep:
 
     @pytest.mark.parametrize("shape", [(32, 32), (24, 40), (40, 24)])
     def test_rows_equal_the_sequential_sweep_with_blas_pinned(self, fake_openblas, shape):
-        # Each of the three maps, the threaded sweep's SVD pair and alphas
-        # and the sequential sweep's SVD pair, pins BLAS and gives it back
-        # (the stops between depend on what other threads are alive).
+        # Each of the sweep's two maps, its SVD pair and its alphas, pins
+        # BLAS and gives it back (the stops between depend on what other
+        # threads are alive); its rows are those of the public per-alpha
+        # route, whose embeds pin BLAS too, so the log is read first.
         blas = fake_openblas(threads=3)
         cover, wm = seeded_matrix(21, *shape), seeded_matrix(22, *shape)
-        args = (cover, wm, [0.02, 0.05, 0.1, 0.2, 0.5], TestSweepEquivalence.ATTACKS)
-        assert analysis._sweep(*args, threaded=True) == sm.robustness_sweep(*args)
-        assert [c for c in blas.calls if c[0] == "set"] == [["set", 1], ["set", 3]] * 3
+        alphas, attacks = [0.02, 0.05, 0.1, 0.2, 0.5], TestSweepEquivalence.ATTACKS
+        report = sm.robustness_sweep(cover, wm, alphas, attacks)
+        assert [c for c in blas.calls if c[0] == "set"] == [["set", 1], ["set", 3]] * 2
+        assert [(r.alpha, r.attack, r.psnr_db, r.nc) for r in report.rows] == \
+            reference_rows(cover, wm, alphas, attacks)

@@ -2,12 +2,14 @@
 because the BLAS thread count is fixed when numpy loads.
 
 Every SVD the package takes, from the library or the CLI, runs through
-``matrix._map`` with BLAS pinned to one thread, so the pipeline's outputs
-are bit-identical under 1, 2 and 4 OpenBLAS threads: the factors, the
-marked images, the extracted watermarks, the keyed bytes and the sweep
-CSV.  Likewise every CLI embed writes the same marked image and key
-bytes, and ``detect-reference`` the same projection, under 1, 2 and 4
-(the ``perchannel`` embeds under 1 and 2).
+``matrix._map`` with BLAS pinned to one thread, and every correlation is
+summed by numpy rather than BLAS, so the pipeline's outputs are
+bit-identical under 1, 2 and 4 OpenBLAS threads: the factors, the marked
+images, the extracted watermarks, the keyed bytes, the sweep CSV, and the
+full-precision NC and PSNR floats of the sweep's rows, of an extraction
+and of a keyed verification.  Likewise every CLI embed writes the same
+marked image and key bytes, and ``detect-reference`` the same projection,
+under 1, 2 and 4 (the ``perchannel`` embeds under 1 and 2).
 """
 
 from conftest import needs_openblas, run_with_blas_threads
@@ -29,7 +31,8 @@ marked_h, info_h = sm.embed_invisible(cover, wm, ident, 0.1)
 attacks = [sm.AttackSpec(kind=sm.AttackKind.GAUSSIAN_NOISE, sigma=2.0, seed=7),
            sm.AttackSpec(kind=sm.AttackKind.QUANTIZE_8BIT),
            sm.AttackSpec(kind=sm.AttackKind.RESCALE, scale=0.5)]
-csv = sm.robustness_sweep(cover, wm, [0.05, 0.1, 0.2], attacks).to_csv()
+report = sm.robustness_sweep(cover, wm, [0.05, 0.1, 0.2], attacks)
+csv = report.to_csv()
 print(json.dumps({
     "u": digest(info.u), "s": digest(info.sigma), "v": digest(info.v),
     "v_w": digest(info.v_w), "marked": digest(marked),
@@ -38,6 +41,10 @@ print(json.dumps({
     "keyed_bytes": digest(sm.recover_masked_bytes(marked_h, info_h)),
     "extracted_hash": digest(sm.extract_invisible(marked_h, info_h, ident)),
     "sweep_csv": hashlib.sha256(csv.encode("ascii")).hexdigest(),
+    # Full precision, where the CSV rounds to 6 decimals.
+    "sweep_floats": [[row.nc.hex(), row.psnr_db.hex()] for row in report.rows],
+    "extracted_nc": sm.normalized_correlation(sm.extract(marked, info), wm).hex(),
+    "verify_nc": sm.verify_invisible(marked_h, info_h, ident, wm).nc_score.hex(),
 }))
 """
 

@@ -1,19 +1,19 @@
-"""The CLI sweep's threads, checked in subprocesses because the BLAS thread
-count is fixed when numpy loads.
+"""The sweep's threads, in the library and the CLI, checked in subprocesses
+because the BLAS thread count is fixed when numpy loads.
 
-``sweep`` takes the cover's and the watermark's SVDs side by side through
-``matrix._map``, then spreads its alphas over ``_map`` too: each time
-numpy's OpenBLAS is pinned to one thread and the work runs on as many
-threads as BLAS had, the calling thread one of them.  Its CSV must not
-change: under 1 and under 2 BLAS threads, and at BLAS's own default
-count, the canonical scene's CSV hashes to ``SWEEP_256_CSV_SHA256``.
-Afterwards BLAS has its thread count back, also after a failing sweep.
-A sweep of one alpha still takes its two SVDs side by side, and a sweep
-where the OpenBLAS functions cannot be found starts no thread and leaves
-BLAS alone.  A failing alpha is named in the one error line, whichever
-thread meets it, and so is a failing SVD, whichever of the two fails.
-The library's ``robustness_sweep`` takes its SVDs the same way but its
-rows in order on the calling thread, with BLAS as the caller left it.
+``robustness_sweep``, which the CLI's ``sweep`` calls, takes the cover's
+and the watermark's SVDs side by side through ``matrix._map``, then
+spreads its alphas over ``_map`` too: each time numpy's OpenBLAS is
+pinned to one thread and the work runs on as many threads as BLAS had,
+the calling thread one of them.  Its CSV must not change: under 1 and
+under 2 BLAS threads, and at BLAS's own default count, the canonical
+scene's CSV hashes to ``SWEEP_256_CSV_SHA256``, from the library as from
+the CLI.  Afterwards BLAS has its thread count back, also after a failing
+sweep.  A sweep of one alpha still takes its two SVDs side by side, and a
+sweep where the OpenBLAS functions cannot be found starts no thread and
+leaves BLAS alone.  A failing alpha is named in the one error line,
+whichever thread meets it, and so is a failing SVD, whichever of the two
+fails.
 """
 
 import pytest
@@ -112,12 +112,11 @@ def test_cli_sweep_threads(threads, tmp_path):
     assert r["blas_threads"] == threads
     # With BLAS on one thread, the two SVDs share min(threads, 2) threads,
     # then the alphas one thread per BLAS thread, the calling one included
-    # each time.  The library sweep takes its SVDs the same way, and its
-    # rows on the calling thread with BLAS as it was.
+    # each time.  The library sweep is the CLI's, threads and all.
     side_by_side = threads >= 2
     assert r["library"] == {"value": th.SWEEP_256_CSV_SHA256,
-                            "threads_started": min(threads, 2) - 1,
-                            "blas_threads_during": [threads], "svds": _svds(1, side_by_side),
+                            "threads_started": (min(threads, 2) - 1) + (min(threads, 10) - 1),
+                            "blas_threads_during": [1], "svds": _svds(1, side_by_side),
                             "blas_threads_after": threads}
     assert r["cli"] == {"value": [0, th.SWEEP_256_CSV_SHA256],
                         "threads_started": (min(threads, 2) - 1) + (min(threads, 10) - 1),
