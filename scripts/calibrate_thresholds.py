@@ -25,6 +25,9 @@ COVER_SEED = 1001
 WM_SEED = 2002
 REF_SEEDS = list(range(3000, 3020))
 WRONG_ID_COUNT = 100
+FORGER_SEEDS = list(range(5000, 5040))
+FORGED_VW_KEYED_NC_MAX = 0.15  # these two frozen in tests/thresholds.py;
+FORGED_VW_SEMIBLIND_NC_BEST_MIN = 0.5  # their margins are printed
 AVALANCHE_TRIALS = 1000
 
 EMBED_ID = "alice|8f3a9c"
@@ -40,6 +43,12 @@ def watermark256():
 
 def reference(seed):
     return sm.synthetic_image(256, 256, seed, roughness=1.9, contrast=55.0)
+
+
+def forged_key(info, v_w):
+    """``info`` with its ``V_w`` swapped for ``v_w``, through every key check."""
+    return sm.SideInfo(u=info.u, s=info.sigma, v=info.v, v_w=v_w, alpha=info.alpha,
+                       rows=info.rows, cols=info.cols, scheme=info.scheme, quant=info.quant)
 
 
 def main():
@@ -125,6 +134,30 @@ def main():
     counts = np.bincount(true_masked.ravel(), minlength=256)
     chi2 = scipy.stats.chisquare(counts)
     print(f"OBSERVED masked-bytes chi2 p={chi2.pvalue:.4f}")
+
+    print("# --- forged V_w (128x128, alpha=0.1, 40 forger images) ---")
+    # The owner's key with V_w swapped for that of the forger's image, and,
+    # keyed, the forger's own identity; each scored against that image.
+    c128 = sm.synthetic_image(128, 128, COVER_SEED, roughness=2.0, contrast=52.0)
+    w128 = sm.synthetic_image(128, 128, WM_SEED, roughness=1.2, contrast=70.0)
+    (m128, i128), (mh128, ih128) = sm.embed(c128, w128, 0.1), sm.embed_invisible(
+        c128, w128, ident, 0.1)
+    semi_forged, keyed_forged = [], []
+    for seed in FORGER_SEEDS:
+        image = sm.synthetic_image(128, 128, seed, roughness=1.9, contrast=55.0)
+        v_w = sm.split_watermark(image)[1]
+        semi_forged.append(sm.normalized_correlation(
+            sm.extract(m128, forged_key(i128, v_w)), image))
+        w_forged = sm.extract_invisible(mh128, forged_key(ih128, v_w),
+                                        sm.Identity.from_string(f"forger-{seed}|nonce"))
+        keyed_forged.append(sm.normalized_correlation(w_forged, image))
+    keyed_max = float(np.abs(keyed_forged).max())
+    print(f"OBSERVED forged semi-blind nc min/median/max = {min(semi_forged):.4f}/"
+          f"{np.median(semi_forged):.4f}/{max(semi_forged):.4f}, best "
+          f"{max(semi_forged) / FORGED_VW_SEMIBLIND_NC_BEST_MIN:.2f}x over the frozen "
+          f"{FORGED_VW_SEMIBLIND_NC_BEST_MIN}")
+    print(f"OBSERVED forged keyed max_abs={keyed_max:.4f}, "
+          f"{FORGED_VW_KEYED_NC_MAX / keyed_max:.2f}x under the frozen {FORGED_VW_KEYED_NC_MAX}")
 
     print("# --- mask statistics ---")
     m1 = sm.derive_mask(sm.Identity.from_string("alice|1"), 64, 64)

@@ -219,7 +219,7 @@ def _cmd_verify(args):
 def _cmd_detect_reference(args):
     write_out = formats._image_writer(args.out) if args.out else None
     reference = formats.load_matrix(args.reference)
-    basis = functools.cache(lambda: matrix._map(matrix.svd, [reference])[0].v)
+    basis = functools.cache(lambda: matrix.svd(reference).v)
     p_star = _recover(args, lambda m, info: semiblind._detect_reference(m, info, reference, basis))
     if write_out:
         write_out(p_star, args.out)

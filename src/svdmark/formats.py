@@ -19,7 +19,6 @@ import json
 import os
 import re
 import struct
-import tempfile
 
 import numpy as np
 
@@ -49,8 +48,10 @@ def _atomic_write(path, *chunks):
     # Complete file or no file; never a truncated one.  An OSError names
     # ``path``, not the temp file, whose name changes on every run.
     tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".svdmark-")
+    try:  # a new file, of mode 0o666 less the umask, as open() makes one
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f".svdmark-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # ours to remove, once made
         with os.fdopen(fd, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)

@@ -11,8 +11,9 @@ One trust rule: ``svd`` output is valid by construction and built
 unchecked, once its singular values are known to be finite; factors from
 a caller or a key file are checked on construction.  ``svd`` calls the
 LAPACK in numpy's bundled OpenBLAS itself and bounds what one
-decomposition may cost.  Every SVD batch goes through ``_map``, which pins
-that OpenBLAS to one thread, so factors keep their bits at any thread count.
+decomposition may cost.  ``svd`` alone pins that OpenBLAS to one thread for
+LAPACK, through ``_map`` unless inside a batch, so factors keep their bits at
+any thread count; the pin is process-wide, so concurrent calls take turns.
 """
 
 import contextvars
@@ -100,20 +101,20 @@ def svd(a):
     the largest-magnitude entry of every U column non-negative (first
     occurrence wins ties) and flipping the paired V column to compensate.
     Unpaired columns (when the input is rectangular) get the same rule
-    applied directly.  The call is deterministic: identical input bits
-    yield identical output bits.  LAPACK scales the singular values back
-    up after the decomposition, so a finite input near the float64 limit
-    can overflow them; that fails with ``InvalidInput``, as do an input
-    LAPACK cannot decompose and, before LAPACK runs, one whose factors
-    would exceed ``MAX_FACTOR_ENTRIES``.
+    applied directly.  Identical input bits yield identical output bits
+    at any BLAS thread count, as LAPACK runs with BLAS on one thread.
+    LAPACK scales the singular values back up after the decomposition, so
+    a finite input near the float64 limit can overflow them; that fails
+    with ``InvalidInput``, as do an input LAPACK cannot decompose and,
+    before LAPACK runs, one whose factors would exceed ``MAX_FACTOR_ENTRIES``.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
     if m * m + n * n > MAX_FACTOR_ENTRIES:
         raise InvalidInput(f"the SVD of a {m}x{n} matrix needs {8 * (m * m + n * n)} bytes "
                            f"of factors, over the {8 * MAX_FACTOR_ENTRIES}-byte bound")
-    try:
-        u, sv, v = _lapack_svd(a)
+    try:  # pinned to one BLAS thread by the enclosing batch, or by its own
+        u, sv, v = _lapack_svd(a) if _batched.get() else _map(_lapack_svd, [a])[0]
     except np.linalg.LinAlgError:
         raise InvalidInput(f"the SVD of a {m}x{n} matrix did not converge") from None
     if not np.all(np.isfinite(sv)):  # LAPACK's rescaling can overflow
@@ -197,6 +198,7 @@ def _bundled_openblas():
 
 
 _pin = threading.Lock()  # held by ``_map``, so no two callers interleave set and restore
+_batched = contextvars.ContextVar("_batched", default=False)  # set inside a ``_map`` batch
 
 
 def _map(fn, items):
@@ -231,6 +233,7 @@ def _map(fn, items):
                 stop()
         # Each helper runs in a copy of this thread's context: NumPy 2 keeps
         # errstate there, so the caller's ignored warnings stay ignored.
+        batch = _batched.set(True)  # the helpers' context copies inherit it
         helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, k))
                    for k in range(1, w)]
         try:
@@ -242,6 +245,7 @@ def _map(fn, items):
                 for t in helpers:
                     t.join()
         finally:
+            _batched.reset(batch)
             if threads > 1:
                 set_(threads)
     if failures:

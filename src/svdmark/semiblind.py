@@ -215,7 +215,7 @@ def detect_reference(marked, info, reference):
     singular vectors of ``reference``, whose shape must be the key's (checked
     before its SVD).  The true watermark reproduces the extraction; an
     unrelated image correlates with the result well below that score."""
-    return _detect_reference(marked, info, reference, lambda: _map(svd, [reference])[0].v)
+    return _detect_reference(marked, info, reference, lambda: svd(reference).v)
 
 
 def _detect_reference(marked, info, reference, basis):

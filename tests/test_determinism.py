@@ -1,8 +1,9 @@
 """How far the README's determinism claim reaches, checked in subprocesses
 because the BLAS thread count is fixed when numpy loads.
 
-Every SVD the package takes, from the library or the CLI, runs through
-``matrix._map`` with BLAS pinned to one thread, and every correlation is
+Every SVD the package takes, from the library or the CLI, runs with BLAS
+pinned to one thread, ``matrix.svd`` seeing to it whoever calls it, the
+public ``svd`` and ``split_watermark`` included, and every correlation is
 summed by numpy rather than BLAS, so the pipeline's outputs are
 bit-identical under 1, 2 and 4 OpenBLAS threads: the factors, the marked
 images, the extracted watermarks, the keyed bytes, the sweep CSV, and the
@@ -12,7 +13,10 @@ marked image and key bytes, and ``detect-reference`` the same projection,
 under 1, 2 and 4 (the ``perchannel`` embeds under 1 and 2).
 """
 
+import pytest
+
 from conftest import needs_openblas, run_with_blas_threads
+from svdmark.matrix import ORTHOGONALITY_TOL
 
 PIPELINE = """
 import hashlib, json
@@ -54,6 +58,42 @@ def test_outputs_across_blas_thread_counts():
                                              for t in (1, 2, 4, 1, 2))
     assert one == one_again and two == two_again
     assert one == two == four
+
+
+FACTORS = """
+import hashlib, json
+import numpy as np
+import svdmark as sm
+import thresholds as th
+from svdmark.matrix import orthogonality_residual
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+cover = sm.synthetic_image(256, 256, th.COVER_SEED, roughness=2.0, contrast=52.0)
+wm = sm.synthetic_image(256, 256, th.WM_SEED, roughness=1.2, contrast=70.0)
+f = sm.svd(cover)
+a_wa, v_w = sm.split_watermark(wm)
+print(json.dumps({
+    "factors": [digest(x) for x in (f.u, f.sigma, f.v, a_wa, v_w)],
+    "residuals": [orthogonality_residual(x).hex() for x in (f.u, v_w)],
+}))
+"""
+
+
+@needs_openblas
+def test_public_svd_and_split_watermark_across_blas_thread_counts():
+    # Called outside any batch, ``svd`` pins BLAS to one thread itself.
+    runs = [run_with_blas_threads(FACTORS, threads=t) for t in (1, 2, 4)]
+    assert all(r["factors"] == runs[0]["factors"] for r in runs[1:])
+    # The residual sums through BLAS's threaded ddot, so its last bits may
+    # follow the thread count (V_w's moved by one ulp between 1 and 2
+    # threads here); it only decides whether a factor passes the tolerance.
+    for r in runs:
+        residuals = [float.fromhex(x) for x in r["residuals"]]
+        expected = [float.fromhex(x) for x in runs[0]["residuals"]]
+        assert residuals == pytest.approx(expected, rel=1e-12)
+        assert max(residuals) < ORTHOGONALITY_TOL
 
 
 CLI_EMBEDS = """

@@ -14,6 +14,7 @@ from svdmark.errors import (
 )
 
 from conftest import seeded_matrix
+from svdmark.cli import cli_main
 from keyfiles import (
     HEADER,
     V1_KEYS,
@@ -437,3 +438,28 @@ class TestDispatchAndAtomicity:
         sm.write_pgm(np.zeros((2, 2)), str(tmp_path / "a.pgm"))
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".svdmark-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_written_files_take_the_umask(self, tmp_path, umask, mode):
+        # Every write makes its file as open() does: mode 0o666 less the
+        # umask, an overwrite included, whatever mode the old file had.
+        cover, wm = seeded_matrix(1, 8, 8), seeded_matrix(2, 8, 8)
+        sm.write_pgm(cover, str(tmp_path / "c.pgm"))
+        sm.write_pgm(wm, str(tmp_path / "w.pgm"))
+        marked, info = sm.embed(cover, wm, 0.1)
+        (tmp_path / "again.pgm").write_bytes(b"")
+        os.chmod(tmp_path / "again.pgm", 0o640)
+        old = os.umask(umask)
+        try:
+            sm.write_pgm(marked, str(tmp_path / "m.pgm"))
+            sm.write_pgm(marked, str(tmp_path / "again.pgm"))
+            sm.save_sideinfo(info, str(tmp_path / "k.svdk"))
+            assert cli_main(["sweep", "--cover", str(tmp_path / "c.pgm"),
+                             "--watermark", str(tmp_path / "w.pgm"), "--alphas", "0.1",
+                             "--attacks", "quantize-8bit", "--out",
+                             str(tmp_path / "r.csv")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("m.pgm", "again.pgm", "k.svdk", "r.csv"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name

@@ -1,9 +1,10 @@
 """``matrix.svd``'s two routes to LAPACK: the bundled OpenBLAS's
 ``dgesdd``, called directly, and ``np.linalg.svd``, taken where that
-symbol is absent.  Both give the same bits under 1 and 2 BLAS threads
-(checked in subprocesses, since the thread count is fixed when numpy
-loads), and a decomposition LAPACK gives up on is ``InvalidInput`` on
-either route: one error line and exit 1 from the CLI.
+symbol is absent.  Both run with BLAS pinned to one thread and give the
+same bits under 1 and 2 BLAS threads (checked in subprocesses, since the
+thread count is fixed when numpy loads), and a decomposition LAPACK
+gives up on is ``InvalidInput`` on either route: one error line and
+exit 1 from the CLI.
 """
 
 import numpy as np
@@ -29,7 +30,9 @@ shapes = [(256, 256), (512, 512), (48, 64), (64, 48), (32, 200), (1, 37), (37, 1
 inputs = [rng.uniform(0.0, 255.0, shape) for shape in shapes]
 report = {"direct": bool(matrix._bundled_openblas()[3])}
 report["dgesdd"] = [factors(a) for a in inputs]
-matrix._bundled_openblas = lambda: [None] * 4
+# Only dgesdd is hidden: the thread functions stay, so both routes run pinned.
+get, set_, stop, _ = matrix._bundled_openblas()
+matrix._bundled_openblas = lambda: [get, set_, stop, None]
 report["np.linalg.svd"] = [factors(a) for a in inputs]
 print(json.dumps(report))
 """

@@ -425,6 +425,8 @@ def test_every_lapack_call_runs_with_blas_pinned(fake_openblas, monkeypatch, tmp
         "library embed_invisible": lambda: sm.embed_invisible(cover, wm, identity, 0.1),
         "library embed_color": lambda: sm.embed_color(
             img, wm, sm.ChannelStrategy.PER_CHANNEL, sm.SchemeTag.HASH_CODE, 0.1, identity),
+        "library svd": lambda: sm.svd(cover),
+        "library split_watermark": lambda: sm.split_watermark(wm),
         "library detect_reference": lambda: sm.detect_reference(marked, info, ref),
         "library robustness_sweep": lambda: sm.robustness_sweep(cover, wm, [0.05, 0.1],
                                                                 attacks),
@@ -435,6 +437,7 @@ def test_every_lapack_call_runs_with_blas_pinned(fake_openblas, monkeypatch, tmp
     takes = {"embed": 2, "embed --strategy perchannel": 4, "embed-hash": 2,
              "detect-reference": 1, "detect-reference perchannel": 1, "sweep": 2,
              "library embed": 2, "library embed_invisible": 2, "library embed_color": 4,
+             "library svd": 1, "library split_watermark": 1,
              "library detect_reference": 1, "library robustness_sweep": 2}
     assert counts == {name: [1] * takes.get(name, 0) for name in counts}
     assert blas.get() == 2

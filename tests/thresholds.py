@@ -31,6 +31,13 @@ NOISE_BUDGET_ALPHA = 0.05
 NOISE_BUDGET_SIGMA = 0.004455        # observed: bytes exact, extraction identical
 NOISE_BUDGET_SEED = 777
 
+# Forged V_w (tests/test_security_claims.py): the owner's 128x128 canonical
+# embeds at alpha 0.1, V_w swapped for that of each forger's image (the
+# reference generator at these seeds), scored against that image.
+FORGER_SEEDS = list(range(5000, 5040))
+FORGED_VW_KEYED_NC_MAX = 0.15           # observed max |nc| = 0.0718, forger's own id
+FORGED_VW_SEMIBLIND_NC_BEST_MIN = 0.5   # observed best nc = 0.645 (median 0.196)
+
 # Mask statistics.
 MASK_DIFF_FRACTION_MIN = 0.97        # observed 0.99756 (alice|1 vs alice|2, 64x64)
 MASK_MEAN_CENTER = 127.5
