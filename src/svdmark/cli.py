@@ -7,13 +7,12 @@ variable SVDMARK_SEED overrides --seed when set.
 """
 
 import argparse
-import functools
 import os
 import sys
 
 import numpy as np
 
-from . import analysis, color, formats, invisible, matrix, semiblind
+from . import analysis, color, formats, invisible, semiblind
 from .analysis import _ATTACK_PARAMS, AttackKind, AttackSpec, _fixed6
 from .errors import WatermarkError
 from .hashstream import Identity
@@ -81,7 +80,7 @@ def _build_parser():
     p.add_argument("--key", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(run=_cmd_detect_reference, strategy=None)
+    p.set_defaults(run=_cmd_detect_reference, strategy=None, identity=None)
 
     p = sub.add_parser("metrics", help="PSNR and correlation")
     p.add_argument("--a", required=True, dest="first")
@@ -191,25 +190,24 @@ def _cmd_embed(args):
     return EXIT_OK
 
 
-def _recover(args, recover):
+def _recover(args, reference=None):
     """``color._recover`` of ``--marked`` and ``--key``, each read once, by kind."""
     carrier, read, strategy = _image(args.marked, args.strategy)
     made_with, infos = formats._read_key(args.key, carrier == "colour image")
-    return color._recover(read(args.marked), infos, made_with, strategy or made_with, recover)
+    return color._recover(read(args.marked), infos, made_with, strategy or made_with,
+                          args.identity, reference)
 
 
 def _cmd_extract(args):
     write_out = formats._image_writer(args.out)
-    masks = invisible._masks(args.identity)  # one mask for every plane
-    w_star = _recover(args, lambda m, info: invisible._extract_plane(m, info, masks))
+    w_star = _recover(args)
     write_out(w_star, args.out)
     print(f"extracted={args.out}")
     return EXIT_OK
 
 
 def _cmd_verify(args):
-    masks = invisible._masks(args.identity)
-    w_star = _recover(args, lambda m, info: invisible._extract_keyed(m, info, masks))
+    w_star = _recover(args)
     report = invisible._judge(w_star, formats.load_matrix(args.claimed), args.threshold)
     print(f"nc={_fixed6(report.nc_score)} threshold={report.threshold:.6f} "
           f"decision={report.decision.value}")
@@ -219,8 +217,7 @@ def _cmd_verify(args):
 def _cmd_detect_reference(args):
     write_out = formats._image_writer(args.out) if args.out else None
     reference = formats.load_matrix(args.reference)
-    basis = functools.cache(lambda: matrix.svd(reference).v)
-    p_star = _recover(args, lambda m, info: semiblind._detect_reference(m, info, reference, basis))
+    p_star = _recover(args, reference)
     if write_out:
         write_out(p_star, args.out)
     print(f"nc={_fixed6(analysis.normalized_correlation(p_star, reference))}")

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import invisible, semiblind
+from . import semiblind
 from .errors import DimensionError, MalformedSideInfo
 from .matrix import _trusted, as_matrix
 from .semiblind import DEFAULT_ALPHA, SideInfo
@@ -117,19 +117,15 @@ def extract_color(img, bundle, strategy, identity=None):
     Per-channel bundles yield the average of the three per-plane
     estimates; single-plane strategies extract from their plane directly.
     """
-    masks = invisible._masks(identity)
-    return _recover(img, bundle.infos, bundle.strategy, strategy,
-                    lambda plane, info: invisible._extract_plane(plane, info, masks))
+    return _recover(img, bundle.infos, bundle.strategy, strategy, identity=identity)
 
 
-def _recover(img, infos, made_with, strategy, recover):
-    """``recover(plane, info)`` on each plane the key marks, the three of
-    ``perchannel`` averaged."""
+def _recover(img, infos, made_with, strategy, identity=None, reference=None):
+    """``semiblind._recover_planes`` of the planes a key made with ``strategy`` marks."""
     if made_with is not None and made_with is not ChannelStrategy(strategy):
         raise MalformedSideInfo(f"bundle was created with {made_with.value}, "
                                 f"not {ChannelStrategy(strategy).value}")
-    estimates = [recover(plane, info) for plane, info in zip(_planes(img, made_with), infos)]
-    return estimates[0] if len(estimates) == 1 else sum(estimates) / 3.0
+    return semiblind._recover_planes(_planes(img, made_with), infos, identity, reference)
 
 
 def _planes(img, strategy):

@@ -53,6 +53,9 @@ class QuantParams:
             raise InvalidParameter("quantization range must be finite")
         if self.hi < self.lo:
             raise InvalidParameter(f"quantization range inverted: lo={self.lo} hi={self.hi}")
+        # quantize scales by 255 * (hi - lo): a range that overflows it commits garbage.
+        if not math.isfinite(255.0 * (float(self.hi) - float(self.lo))):
+            raise InvalidParameter(f"quantization range too wide: lo={self.lo} hi={self.hi}")
         if self.degenerate != (self.hi == self.lo):
             raise InvalidParameter("degenerate flag inconsistent with lo/hi")
 
@@ -103,8 +106,9 @@ def quantize(a_wa):
     hi = float(a.max())
     if hi == lo:
         return np.zeros(a.shape, dtype=np.uint8), QuantParams(lo, hi, degenerate=True)
+    params = QuantParams(lo, hi)  # refuses a range too wide to scale, before the arithmetic
     q = np.rint(255.0 * (a - lo) / (hi - lo))
-    return q.astype(np.uint8), QuantParams(lo, hi)
+    return q.astype(np.uint8), params
 
 
 def dequantize(b, params):

@@ -6,23 +6,21 @@ a mask derived from a secret identity, and only then embedded:
 the committed payload is indistinguishable from uniform noise; with it,
 extraction recovers the exact byte matrix and the watermark up to the
 quantization half-step.  Both schemes embed through ``semiblind``'s one
-core, which builds this payload; this module adds the keyed extraction
-and verification.
+core, which builds this payload, and read back through its other, which
+unmasks it; this module adds the keyed entry points and verification.
 """
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from . import semiblind
 from .analysis import normalized_correlation
-from .errors import InvalidKey, InvalidParameter
-from .hashstream import dequantize, derive_mask, xor_mask
+from .errors import InvalidParameter
 from .matrix import _to_bytes_255, as_matrix
 from .semiblind import (
     DEFAULT_ALPHA,
     SchemeTag,
     _embed_planes,
+    _recover_planes,
     _require_scheme,
     recover_principal_components,
 )
@@ -53,16 +51,6 @@ def embed_invisible(cover, watermark, identity, alpha=DEFAULT_ALPHA):
     return marked, info
 
 
-def _extract_plane(marked, info, masks):
-    """Either scheme's extract: the keyed path runs when ``masks`` (from
-    ``_masks``) is given."""
-    if masks is not None:
-        return _extract_keyed(marked, info, masks)
-    if info.scheme is SchemeTag.HASH_CODE:
-        raise InvalidKey("hash-code extraction requires an identity")
-    return semiblind.extract(marked, info)
-
-
 def recover_masked_bytes(marked, info):
     """Recover the committed byte matrix from a marked image.
 
@@ -81,22 +69,8 @@ def extract_invisible(marked, info, identity):
     A wrong identity unmasks to effectively random bytes and the result
     is uncorrelated with the committed watermark.
     """
-    return _extract_keyed(marked, info, functools.partial(derive_mask, identity))
-
-
-def _masks(identity):
-    """``masks(rows, cols)``: ``identity``'s mask of that shape, derived once
-    per shape, so that a reader of several planes derives it once; ``None``
-    without an identity."""
-    return None if identity is None else functools.cache(functools.partial(derive_mask, identity))
-
-
-def _extract_keyed(marked, info, masks):
-    """``extract_invisible``, the identity's mask taken from ``masks(rows, cols)``."""
-    bytes_star = recover_masked_bytes(marked, info)
-    payload = xor_mask(bytes_star, masks(info.rows, info.cols))
-    a_wa = dequantize(payload, info.quant)
-    return a_wa @ info.v_w.T
+    _require_scheme(info, SchemeTag.HASH_CODE)
+    return _recover_planes([marked], [info], identity)
 
 
 def verify_invisible(marked, info, identity, claimed, threshold=DEFAULT_THRESHOLD):

@@ -9,8 +9,9 @@ The detector does not need the cover or watermark images, only the side
 info captured at embed time (the exact cover factors, the watermark's
 right singular vectors ``V_w``, and ``alpha``).
 The keyed scheme's payload ``quantize(A_wa) XOR h_id`` takes the place
-of ``A_wa`` in the same algebra, so one core here embeds both schemes,
-and the robustness sweep marks through its ``_mark`` step.
+of ``A_wa`` in the same algebra, so one core here embeds both schemes and
+one reads both back, and the robustness sweep marks through its ``_mark``
+step.
 """
 
 import functools
@@ -20,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidKey, InvalidParameter, MalformedSideInfo
-from .hashstream import derive_mask, quantize, xor_mask
-from .matrix import (ORTHOGONALITY_TOL, SvdFactors, _map, _trusted, as_matrix,
+from .hashstream import dequantize, derive_mask, quantize, xor_mask
+from .matrix import (ORTHOGONALITY_TOL, SvdFactors, _map, _to_bytes_255, _trusted, as_matrix,
                      orthogonality_residual, svd)
 
 # Default embedding strength; strong enough to survive mild distortion
@@ -201,8 +202,7 @@ def recover_principal_components(marked, info):
 def extract(marked, info):
     """Recover the watermark from a (possibly distorted) marked image."""
     _require_scheme(info, SchemeTag.SEMI_BLIND)
-    a_wa_star = recover_principal_components(marked, info)
-    return a_wa_star @ info.v_w.T
+    return _recover_planes([marked], [info])
 
 
 def _require_scheme(info, scheme):
@@ -215,14 +215,36 @@ def detect_reference(marked, info, reference):
     singular vectors of ``reference``, whose shape must be the key's (checked
     before its SVD).  The true watermark reproduces the extraction; an
     unrelated image correlates with the result well below that score."""
-    return _detect_reference(marked, info, reference, lambda: svd(reference).v)
+    return _recover_planes([marked], [info], reference=reference)
 
 
-def _detect_reference(marked, info, reference, basis):
-    """``detect_reference``, the reference's ``V`` from ``basis()`` once every check passed."""
-    _require_scheme(info, SchemeTag.SEMI_BLIND)
-    reference = as_matrix(reference, "reference")
-    if reference.shape != (info.rows, info.cols):
-        raise DimensionError(f"reference {reference.shape} does not match side info "
-                             f"{(info.rows, info.cols)}")
-    return recover_principal_components(marked, info) @ basis().T
+def _recover_planes(planes, infos, identity=None, reference=None):
+    """Either scheme's read of same-shaped marked planes, the counterpart of
+    ``_embed_planes``.  Checks that a ``reference`` has a semi-blind key and
+    its shape, an ``identity`` a hash-code key, neither a semi-blind key; then
+    unmasks each plane's recovery (keyed) and projects it onto ``V_w`` or the
+    reference's ``V``.  The mask and that SVD are taken once, after the first
+    recovery; a ``perchannel`` key's three estimates are averaged."""
+    first = infos[0]
+    if reference is not None:
+        _require_scheme(first, SchemeTag.SEMI_BLIND)
+        reference = as_matrix(reference, "reference")
+        if reference.shape != (first.rows, first.cols):
+            raise DimensionError(f"reference {reference.shape} does not match side info "
+                                 f"{(first.rows, first.cols)}")
+    elif identity is not None:
+        _require_scheme(first, SchemeTag.HASH_CODE)
+    elif first.scheme is SchemeTag.HASH_CODE:
+        raise InvalidKey("hash-code extraction requires an identity")
+    mask = basis = None
+    estimates = []
+    for plane, info in zip(planes, infos):
+        a_wa = recover_principal_components(plane, info)
+        if identity is not None:
+            mask = derive_mask(identity, info.rows, info.cols) if mask is None else mask
+            a_wa = dequantize(xor_mask(_to_bytes_255(a_wa), mask), info.quant)
+        if reference is not None:
+            basis = svd(reference).v if basis is None else basis
+        estimates.append(a_wa @ (info.v_w if basis is None else basis).T)
+        del a_wa  # one plane's recovery alive at a time, not two
+    return estimates[0] if len(estimates) == 1 else sum(estimates) / 3.0

@@ -242,7 +242,7 @@ class TestMetricsAttackSweep:
                     "--alphas", "0.05,0.1",
                     "--attacks", "gaussian-noise:sigma=1:seed=3,quantize-8bit",
                     "--out", out]) == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "alpha,attack,params,seed,psnr_db,nc"
         assert len(lines) == 5
 
@@ -620,6 +620,20 @@ def test_failed_embed_writes_no_output(scene, tmp_path, capsys, out_ext, failure
     assert not out.exists() and not key.exists()
     left = {Path(f).name for f in (cover, p["cover"], p["wm"])}
     assert {f.name for f in tmp_path.iterdir()} == left
+
+
+def test_embed_hash_refuses_a_payload_range_too_wide_to_quantize(tmp_path, capsys):
+    # At 1e306 the quantizer's 255 * (hi - lo) overflows: before, the embed
+    # exited 0 and its owner's verify-hash rejected the mark (NC -0.102).
+    cover, wm = str(tmp_path / "c.pgm"), str(tmp_path / "w.svdf")
+    sm.write_pgm(make_cover(32), cover)
+    sm.write_float_image(np.random.default_rng(7).uniform(0.0, 1e306, (32, 32)), wm)
+    out, key = tmp_path / "m.svdf", tmp_path / "k.svdk"
+    assert run(["embed-hash", "--cover", cover, "--watermark", wm, "--id", "alice|8f3a9c",
+                "--out", str(out), "--key", str(key)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidParameter: quantization range")
+    assert not out.exists() and not key.exists()
 
 
 @pytest.mark.parametrize("out_ext", ["svdf", "pgm", "txt", "PGM", "SVDF", ""])

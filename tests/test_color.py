@@ -174,6 +174,19 @@ class TestExtractColor:
         with pytest.raises(InvalidKey):
             sm.extract_color(marked, bundle, sm.ChannelStrategy.BLUE_CHANNEL)
 
+    @pytest.mark.parametrize("strategy", list(sm.ChannelStrategy))
+    def test_bundle_scheme_decides_whether_an_id_is_taken(self, identity, strategy):
+        # Every strategy reads through one core: a semi-blind bundle refuses
+        # an identity, and a keyed bundle needs one.
+        img = sm.synthetic_rgb(32, 32, seed=8)
+        wm = sm.synthetic_image(32, 32, 9, roughness=1.2, contrast=70.0)
+        marked, bundle = sm.embed_color(img, wm, strategy, sm.SchemeTag.SEMI_BLIND, 0.1)
+        with pytest.raises(MalformedSideInfo, match="expected hash-code side info"):
+            sm.extract_color(marked, bundle, strategy, identity=identity)
+        marked, bundle = sm.embed_color(img, wm, strategy, sm.SchemeTag.HASH_CODE, 0.1, identity)
+        with pytest.raises(InvalidKey, match="requires an identity"):
+            sm.extract_color(marked, bundle, strategy)
+
 
 class TestBundleAndImageValidation:
     def test_bundle_count_enforced(self, rgb128, wm128):

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ class TestQuantize:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             sm.quantize([[np.inf, 0.0]])
+
+    def test_rejects_a_range_too_wide_to_scale(self):
+        # 255 * (hi - lo) must be finite; the params are refused before any
+        # arithmetic, so no overflow warning comes first.
+        for lo, hi in ((-1e308, 1e308), (0.0, 1e307)):
+            with pytest.raises(InvalidParameter, match="too wide"):
+                sm.QuantParams(lo, hi)
+        sm.QuantParams(0.0, 7e305)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="too wide"):
+                sm.quantize([[0.0, 1e307]])
 
 
 class TestDequantize:

@@ -155,3 +155,14 @@ def test_embed_invisible_rejects_alpha_overflowing_squared_error(identity):
     wm = sm.synthetic_image(16, 16, 6, roughness=1.2, contrast=70.0)
     with pytest.raises(InvalidParameter, match="alpha 1e\\+155 overflows"):
         sm.embed_invisible(cover, wm, identity, 1e155)
+
+
+def test_embed_invisible_rejects_a_payload_range_too_wide_to_quantize(identity):
+    # 255 * (hi - lo) overflows, so quantizing would commit garbage that the
+    # owner's own verify-hash rejects; at 1e300 the range still scales.
+    cover = sm.synthetic_image(32, 32, 5, roughness=2.0, contrast=52.0)
+    wm = np.random.default_rng(7).uniform(0.0, 1e306, (32, 32))
+    with pytest.raises(InvalidParameter, match="quantization range too wide"):
+        sm.embed_invisible(cover, wm, identity, 0.1)
+    marked, info = sm.embed_invisible(cover, wm / 1e6, identity, 0.1)
+    assert sm.verify_invisible(marked, info, identity, wm / 1e6).decision is sm.Verdict.VERIFIED

@@ -163,6 +163,12 @@ def test_hash_key_with_inverted_quant_range(tmp_path, infos):
            _set("quant", {"lo": 2.0, "hi": -1.0, "degenerate": False}), InvalidParameter)
 
 
+def test_hash_key_with_a_quant_range_too_wide_to_scale(tmp_path, infos):
+    # Both ends are finite, but 255 * (hi - lo) is not.
+    _check(tmp_path, infos[sm.SchemeTag.HASH_CODE],
+           _set("quant", {"lo": -1e308, "hi": 1e308, "degenerate": False}), InvalidParameter)
+
+
 @pytest.mark.parametrize("defect", list(SEMIBLIND_QUANT_DEFECTS))
 def test_semiblind_key_with_any_quant(tmp_path, infos, defect):
     _check(tmp_path, infos[sm.SchemeTag.SEMI_BLIND], SEMIBLIND_QUANT_DEFECTS[defect],

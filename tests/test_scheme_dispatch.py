@@ -6,10 +6,12 @@ agree on what each scheme accepts and how a key of the other scheme is
 refused.
 """
 
+from pathlib import Path
+
 import pytest
 
 import svdmark as sm
-from svdmark import invisible, semiblind
+from svdmark import semiblind
 from svdmark.cli import cli_main
 
 from conftest import seeded_matrix
@@ -120,7 +122,7 @@ class TestCliStrategy:
         own = str(tmp_path / "own.svdf")
         assert cli_main([*argv, "--out", p["out"]]) == 0
         assert cli_main([*argv, "--strategy", carrier, "--out", own]) == 0
-        assert open(own, "rb").read() == open(p["out"], "rb").read()
+        assert Path(own).read_bytes() == Path(p["out"]).read_bytes()
 
     @pytest.mark.parametrize("command", ["embed", "embed-hash", "extract", "extract-hash"])
     @pytest.mark.parametrize("carrier", ["pgm", "svdf"])
@@ -160,8 +162,8 @@ def test_keyed_read_masks_once(monkeypatch, files, identity, carrier, reader):
     # identity's mask once, as the embed does, however many planes it has.
     p = files(carrier)
     calls = []
-    original = invisible.derive_mask
-    monkeypatch.setattr(invisible, "derive_mask",
+    original = semiblind.derive_mask
+    monkeypatch.setattr(semiblind, "derive_mask",
                         lambda *a: calls.append(a[1:]) or original(*a))
     if reader == "extract_color":
         sm.extract_color(sm.read_ppm(p["hash"]), sm.load_bundle(p["hash_key"]), carrier,
